@@ -22,6 +22,7 @@ typo cannot silently fall back to a default.
 """
 
 import json
+import numbers
 from dataclasses import dataclass, fields
 
 from .errors import ValidationError
@@ -58,11 +59,29 @@ class PipelineConfig:
     def __post_init__(self):
         if not self.input:
             raise ValidationError("config requires an input path")
-        for name in ("variables", "compare_variables", "compare_group1",
-                     "compare_group2", "formats"):
+        for name, label in _STRING_FIELDS.items():
             value = getattr(self, name)
-            if value is not None:
-                object.__setattr__(self, name, tuple(value))
+            if value is not None and not isinstance(value, str):
+                raise ValidationError(f"{label} must be a string, got {value!r}")
+        for name, label in _INTEGER_FIELDS.items():
+            value = getattr(self, name)
+            if value is not None and (isinstance(value, bool)
+                                      or not isinstance(value, numbers.Integral)):
+                raise ValidationError(f"{label} must be an integer, got {value!r}")
+        for name, label in _LIST_FIELDS.items():
+            value = getattr(self, name)
+            if value is None:
+                continue
+            if not isinstance(value, (list, tuple)):
+                raise ValidationError(
+                    f"{label} must be a list of strings, got {value!r}"
+                )
+            for item in value:
+                if not isinstance(item, str):
+                    raise ValidationError(
+                        f"{label} entries must be strings, got {item!r}"
+                    )
+            object.__setattr__(self, name, tuple(value))
         _enum("missing_policy", self.missing_policy, ("error", "listwise"))
         _enum("retention.rule", self.retention_rule, ("kaiser", "fixed"))
         _enum("rotation.method", self.rotation_method, ("varimax", "none"))
@@ -126,6 +145,23 @@ class PipelineConfig:
             },
             "output": {"dir": self.out_dir, "formats": list(self.formats)},
         }
+
+
+# Fields whose JSON type is checked up front, with their document names.
+_STRING_FIELDS = {"input": "input", "id_column": "id_column", "out_dir": "output.dir"}
+_INTEGER_FIELDS = {
+    "retention_k": "retention.k",
+    "rotation_max_iter": "rotation.max_iter",
+    "ranking_factor": "ranking.factor",
+    "ranking_k": "ranking.k",
+}
+_LIST_FIELDS = {
+    "variables": "variables",
+    "compare_variables": "comparison.variables",
+    "compare_group1": "comparison.group1",
+    "compare_group2": "comparison.group2",
+    "formats": "output.formats",
+}
 
 
 def _opt_list(value):

@@ -8,6 +8,7 @@ once built; operations return new objects.
 
 import csv
 import difflib
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -116,70 +117,66 @@ def load_csv(path, id_column=None, missing_policy="error"):
             header = next(reader)
         except StopIteration:
             raise ValidationError(f"{path}: file is empty") from None
-        rows = [row for row in reader if row and any(cell.strip() for cell in row)]
 
-    header = [h.strip() for h in header]
-    if id_column is None:
-        id_index = 0
-    else:
-        if id_column not in header:
-            raise ValidationError(
-                f"id column {id_column!r} not found; header has {header}"
-            )
-        id_index = header.index(id_column)
-    indicator_names = [h for i, h in enumerate(header) if i != id_index]
+        header = [h.strip() for h in header]
+        if id_column is None:
+            id_index = 0
+        else:
+            if id_column not in header:
+                raise ValidationError(
+                    f"id column {id_column!r} not found; header has {header}"
+                )
+            id_index = header.index(id_column)
+        indicator_names = [h for i, h in enumerate(header) if i != id_index]
 
-    case_ids = []
-    parsed = []
-    incomplete = []  # (row_number, case_id)
-    for row_number, row in enumerate(rows, start=1):
-        if len(row) != len(header):
-            raise ValidationError(
-                f"row {row_number}: expected {len(header)} fields, got {len(row)}"
-            )
-        case_id = row[id_index].strip()
-        data = []
-        missing_here = False
-        col = 0
-        for i, cell in enumerate(row):
-            if i == id_index:
+        rows = (row for row in reader if row and any(cell.strip() for cell in row))
+        case_ids = []
+        parsed = []
+        dropped = []  # ids of incomplete rows skipped under listwise
+        for row_number, row in enumerate(rows, start=1):
+            if len(row) != len(header):
+                raise ValidationError(
+                    f"row {row_number}: expected {len(header)} fields, got {len(row)}"
+                )
+            case_id = row[id_index].strip()
+            data = []
+            missing_here = False
+            col = 0
+            for i, cell in enumerate(row):
+                if i == id_index:
+                    continue
+                name = indicator_names[col]
+                col += 1
+                text = cell.strip()
+                if not text:
+                    value = np.nan
+                else:
+                    try:
+                        value = float(text)
+                    except ValueError:
+                        raise ValidationError(
+                            f"non-numeric value {text!r} at row {row_number}, "
+                            f"column {name!r}"
+                        ) from None
+                if not math.isfinite(value):
+                    missing_here = True
+                    if missing_policy == "error":
+                        raise ValidationError(
+                            f"missing value at row {row_number}, column {name!r} "
+                            f"(case {case_id!r}); use missing_policy='listwise' to drop"
+                        )
+                data.append(value)
+            if missing_here:
+                dropped.append(case_id)
                 continue
-            name = indicator_names[col]
-            col += 1
-            text = cell.strip()
-            if not text:
-                value = np.nan
-            else:
-                try:
-                    value = float(text)
-                except ValueError:
-                    raise ValidationError(
-                        f"non-numeric value {text!r} at row {row_number}, "
-                        f"column {name!r}"
-                    ) from None
-            if not np.isfinite(value):
-                missing_here = True
-                if missing_policy == "error":
-                    raise ValidationError(
-                        f"missing value at row {row_number}, column {name!r} "
-                        f"(case {case_id!r}); use missing_policy='listwise' to drop"
-                    )
-            data.append(value)
-        if missing_here:
-            incomplete.append((row_number, case_id))
-        case_ids.append(case_id)
-        parsed.append(data)
+            case_ids.append(case_id)
+            parsed.append(data)
 
-    if incomplete:
-        dropped = [cid for _, cid in incomplete]
+    if dropped:
         warnings.warn(
             f"listwise deletion dropped {len(dropped)} case(s): {', '.join(dropped)}",
             stacklevel=2,
         )
-        keep = [i for i in range(len(parsed))
-                if all(np.isfinite(v) for v in parsed[i])]
-        case_ids = [case_ids[i] for i in keep]
-        parsed = [parsed[i] for i in keep]
 
     if len(parsed) < _MIN_CASES:
         raise ValidationError(

@@ -1,16 +1,16 @@
-"""Dense symmetric eigensolver and the distribution functions built on it.
+"""Symmetric eigendecomposition and the distribution functions built on it.
 
 Everything downstream (factor extraction, KMO, t and F p-values,
 confidence intervals) reduces to the four primitives here:
 
-* :func:`sym_eigen` — cyclic Jacobi eigendecomposition of a symmetric matrix
+* :func:`sym_eigen` — LAPACK ``eigh`` behind a fixed contract: symmetry
+  check, descending order, canonical eigenvector signs
 * :func:`invert_spd` — SPD inverse through the eigendecomposition
 * :func:`reg_incomplete_beta` — regularized incomplete beta I_x(a, b)
 * :func:`t_two_tailed_p` / :func:`t_quantile` / :func:`f_tail_p` — Student-t
   and F tail probabilities expressed through the incomplete beta
 
-All functions are pure and deterministic: fixed sweep orders, no
-randomness, no hidden state.
+All functions are pure and deterministic: no randomness, no hidden state.
 """
 
 import math
@@ -19,10 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-
-# Jacobi sweep budget and convergence threshold (relative to ||A||_F).
-_JACOBI_MAX_SWEEPS = 100
-_JACOBI_TOL = 1e-12
 
 # Continued fraction controls for the incomplete beta.
 _BETA_CF_TOL = 1e-14
@@ -53,24 +49,21 @@ class EigenDecomposition:
 
 def _canonical_column_signs(m):
     """Flip each column so its largest-magnitude entry is positive (in place)."""
-    for j in range(m.shape[1]):
-        col = m[:, j]
-        i = int(np.argmax(np.abs(col)))
-        if col[i] < 0.0:
-            m[:, j] = -col
+    peaks = m[np.argmax(np.abs(m), axis=0), np.arange(m.shape[1])]
+    m[:, peaks < 0.0] *= -1.0
     return m
 
 
 def sym_eigen(a):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a symmetric matrix by LAPACK ``eigh``.
 
     The input is symmetrized by averaging (rejected if the asymmetry
-    exceeds 1e-9). Iterates plane rotations in fixed row-major pair order
-    until the off-diagonal Frobenius norm falls below 1e-12 * ||A||_F;
-    raises :class:`NumericalError` if 100 sweeps are not enough.
+    exceeds 1e-9) and handed to :func:`numpy.linalg.eigh`; a LAPACK
+    failure to converge raises :class:`NumericalError`.
 
     Returns an :class:`EigenDecomposition` with eigenvalues sorted
-    descending and each eigenvector's largest-magnitude entry positive.
+    descending (stable for ties) and each eigenvector's largest-magnitude
+    entry positive; both arrays are read-only.
     """
     a = as_matrix(a)
     n, m = a.shape
@@ -81,59 +74,10 @@ def sym_eigen(a):
         raise ValidationError(
             f"matrix is not symmetric: max |a[i][j] - a[j][i]| = {asym:.3e}"
         )
-    work = (a + a.T) / 2.0
-    vecs = np.eye(n)
-
-    norm = float(np.sqrt(np.sum(work * work)))
-    threshold = _JACOBI_TOL * norm
-
-    def _off_norm():
-        off = work - np.diag(np.diag(work))
-        return float(np.sqrt(np.sum(off * off)))
-
-    converged = False
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        if _off_norm() <= threshold:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = work[p, q]
-                if apq == 0.0:
-                    continue
-                # Rotation angle that zeroes the (p, q) entry.
-                tau = (work[q, q] - work[p, p]) / (2.0 * apq)
-                if not math.isfinite(tau):
-                    # |apq| is negligible at this scale; drop it outright.
-                    work[p, q] = 0.0
-                    work[q, p] = 0.0
-                    continue
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.hypot(1.0, tau))
-                else:
-                    t = -1.0 / (-tau + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                # work <- J^T work J with J the (p, q) rotation.
-                col_p = work[:, p].copy()
-                col_q = work[:, q].copy()
-                work[:, p] = c * col_p - s * col_q
-                work[:, q] = s * col_p + c * col_q
-                row_p = work[p, :].copy()
-                row_q = work[q, :].copy()
-                work[p, :] = c * row_p - s * row_q
-                work[q, :] = s * row_p + c * row_q
-                vcol_p = vecs[:, p].copy()
-                vcol_q = vecs[:, q].copy()
-                vecs[:, p] = c * vcol_p - s * vcol_q
-                vecs[:, q] = s * vcol_p + c * vcol_q
-    if not converged and _off_norm() > threshold:
-        raise NumericalError(
-            f"Jacobi eigensolver did not converge in {_JACOBI_MAX_SWEEPS} sweeps "
-            f"(off-diagonal norm {_off_norm():.3e}, threshold {threshold:.3e})"
-        )
-
-    values = np.diag(work).copy()
+    try:
+        values, vecs = np.linalg.eigh((a + a.T) / 2.0)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"symmetric eigensolver failed: {exc}") from None
     order = np.argsort(-values, kind="stable")
     values = values[order]
     vecs = vecs[:, order]

@@ -2,6 +2,7 @@ import csv
 import json
 import os
 
+import numpy as np
 import pytest
 
 from factorindex.cli import main
@@ -78,6 +79,20 @@ class TestAnalyze:
         assert main(list(args)) == 0
         second = {name: (out / name).read_bytes() for name in os.listdir(out)}
         assert first == second
+
+    def test_eigensolver_failure_exits_3(self, table_csv, tmp_path, capsys,
+                                         monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        rc = main(["analyze", "--input", table_csv, "--out-dir",
+                   str(tmp_path / "z")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "did not converge" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "z").exists()
 
     def test_missing_input_exits_2(self, capsys):
         assert main(["analyze"]) == 2
@@ -209,6 +224,30 @@ class TestConfigFile:
         cfg_path.write_text(json.dumps({"input": table_csv, "rotcfg": {}}))
         assert main(["analyze", "--config", str(cfg_path)]) == 2
         assert "rotcfg" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("document, message", [
+        ({"input": ["table.csv"]}, "input must be a string"),
+        ({"rotation": {"max_iter": 1.5}}, "rotation.max_iter must be an integer"),
+        ({"retention": {"rule": "fixed", "k": 2.5}},
+         "retention.k must be an integer"),
+        ({"ranking": {"k": 5.0}}, "ranking.k must be an integer"),
+        ({"ranking": {"factor": True}}, "ranking.factor must be an integer"),
+        ({"variables": "Ind00,Ind01"}, "variables must be a list of strings"),
+        ({"output": {"formats": "json"}},
+         "output.formats must be a list of strings"),
+        ({"comparison": {"group1": [1, 2]}},
+         "comparison.group1 entries must be strings"),
+    ])
+    def test_wrongly_typed_value_exits_2(self, table_csv, tmp_path, capsys,
+                                         document, message):
+        document.setdefault("input", table_csv)
+        document.setdefault("output", {})["dir"] = str(tmp_path / "out")
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(document))
+        assert main(["analyze", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+        assert not (tmp_path / "out").exists()
 
     def test_invalid_json_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.json"

@@ -50,6 +50,15 @@ class TestLoadCsv:
         assert ds.case_ids == ("X", "Z", "W")
         assert ds.n_cases == 3
 
+    def test_listwise_drops_literal_nan_and_inf(self, tmp_path):
+        path = write(tmp_path, "community,a,b\nX,1,2\nY,nan,4\nZ,5,6\n"
+                               "V,7,-inf\nW,7,8\nU,inf,NaN\n")
+        with pytest.warns(UserWarning,
+                          match=r"dropped 3 case\(s\): Y, V, U$"):
+            ds = load_csv(path, missing_policy="listwise")
+        assert ds.case_ids == ("X", "Z", "W")
+        np.testing.assert_array_equal(ds.values, [[1, 2], [5, 6], [7, 8]])
+
     def test_listwise_too_few_rows(self, tmp_path):
         path = write(tmp_path, "community,a,b\nX,1,2\nY,,4\nZ,5,6\n")
         with pytest.warns(UserWarning):

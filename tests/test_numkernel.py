@@ -43,6 +43,10 @@ class TestSymEigen:
             trace = np.trace(a)
             assert abs(d.eigenvalues.sum() - trace) < 1e-9 * max(1.0, abs(trace))
             assert np.all(np.diff(d.eigenvalues) <= 1e-12)
+            peaks = v[np.argmax(np.abs(v), axis=0), np.arange(n)]
+            assert np.all(peaks > 0.0)
+            assert not d.eigenvalues.flags.writeable
+            assert not v.flags.writeable
 
     def test_rejects_non_square(self):
         with pytest.raises(ValidationError, match="square"):
@@ -55,6 +59,14 @@ class TestSymEigen:
     def test_rejects_non_finite(self):
         with pytest.raises(ValidationError, match="non-finite"):
             sym_eigen([[1.0, np.nan], [np.nan, 1.0]])
+
+    def test_lapack_failure_is_numerical_error(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(NumericalError, match="did not converge"):
+            sym_eigen(np.eye(3))
 
     def test_symmetrizes_tiny_asymmetry(self):
         a = np.array([[2.0, 1.0 + 1e-12], [1.0, 2.0]])
