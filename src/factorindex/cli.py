@@ -13,69 +13,18 @@ file. Exit codes: 0 success, 2 invalid input/config, 3 numerical failure.
 
 import argparse
 import sys
+from dataclasses import fields
 
-from .config import FORMATS, config_from_dict, load_config
+from .config import PipelineConfig, config_from_dict, load_config
 from .errors import NumericalError, ValidationError
 from .pipeline import run_compare, run_pipeline
 
-
-def _csv_list(text):
-    items = [item.strip() for item in text.split(",")]
-    return tuple(item for item in items if item)
-
-
-def _add_common(parser):
-    parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--input", help="input CSV (cases x indicators)")
-    parser.add_argument("--id-column", dest="id_column",
-                        help="identifier column name (default: first column)")
-    parser.add_argument("--missing-policy", dest="missing_policy",
-                        choices=["error", "listwise"])
-    parser.add_argument("--variables", type=_csv_list,
-                        help="comma-separated analysis variables (default: all)")
-    parser.add_argument("--out-dir", dest="out_dir", help="output directory")
-    parser.add_argument("--format", dest="formats", action="append",
-                        choices=list(FORMATS),
-                        help="output format; repeat for several")
-
-
-def _add_factor_flags(parser):
-    parser.add_argument("--retention", dest="retention_rule",
-                        choices=["kaiser", "fixed"])
-    parser.add_argument("--retention-k", dest="retention_k", type=int)
-    parser.add_argument("--rotation", dest="rotation_method",
-                        choices=["varimax", "none"])
-    parser.add_argument("--kaiser-normalization", dest="kaiser_normalization",
-                        action=argparse.BooleanOptionalAction, default=None)
-    parser.add_argument("--rotation-tol", dest="rotation_tol", type=float)
-    parser.add_argument("--rotation-max-iter", dest="rotation_max_iter", type=int)
-
-
-def _add_rank_flags(parser):
-    parser.add_argument("--factor", dest="ranking_factor", type=int,
-                        help="1-based factor to rank on")
-    parser.add_argument("--direction", dest="ranking_direction",
-                        choices=["ascending", "descending"])
-    parser.add_argument("--k", dest="ranking_k", type=int,
-                        help="group size for the top/bottom split")
-
-
-def _add_compare_flags(parser, with_groups):
-    parser.add_argument("--compare-variables", dest="compare_variables",
-                        type=_csv_list,
-                        help="comma-separated variables for the comparison")
-    parser.add_argument("--alpha", type=float)
-    parser.add_argument("--alpha-levene", dest="alpha_levene", type=float)
-    parser.add_argument("--ci-level", dest="ci_level", type=float)
-    parser.add_argument("--standardize-scope", dest="standardize_scope",
-                        choices=["selected", "all"])
-    parser.add_argument("--levene-center", dest="levene_center",
-                        choices=["mean", "median"])
-    if with_groups:
-        parser.add_argument("--group1", dest="compare_group1", type=_csv_list,
-                            help="comma-separated case ids of group 1")
-        parser.add_argument("--group2", dest="compare_group2", type=_csv_list,
-                            help="comma-separated case ids of group 2")
+_COMMANDS = {
+    "analyze": "run the full pipeline",
+    "factors": "stop after the factor model",
+    "rank": "run through the ranking step",
+    "compare": "compare two explicit groups, skipping ranking",
+}
 
 
 def build_parser():
@@ -85,27 +34,16 @@ def build_parser():
                     "comparison for cases-by-indicators tables.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    analyze = sub.add_parser("analyze", help="run the full pipeline")
-    _add_common(analyze)
-    _add_factor_flags(analyze)
-    _add_rank_flags(analyze)
-    _add_compare_flags(analyze, with_groups=False)
-
-    factors = sub.add_parser("factors", help="stop after the factor model")
-    _add_common(factors)
-    _add_factor_flags(factors)
-
-    rank = sub.add_parser("rank", help="run through the ranking step")
-    _add_common(rank)
-    _add_factor_flags(rank)
-    _add_rank_flags(rank)
-
-    compare = sub.add_parser("compare",
-                             help="compare two explicit groups, skipping ranking")
-    _add_common(compare)
-    _add_compare_flags(compare, with_groups=True)
-
+    commands = {name: sub.add_parser(name, help=text)
+                for name, text in _COMMANDS.items()}
+    for command in commands.values():
+        command.add_argument("--config", help="JSON config file")
+    for f in fields(PipelineConfig):
+        meta = f.metadata
+        text = " ".join(filter(None, (meta["help"], f"(config: {meta['key']})")))
+        for name in meta["commands"]:
+            commands[name].add_argument(meta["flag"], dest=f.name, help=text,
+                                        **meta["check"].flag_extras)
     return parser
 
 

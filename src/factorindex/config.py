@@ -18,189 +18,188 @@ The document is nested by pipeline stage::
     }
 
 Every leaf is optional except ``input``. Unknown keys are rejected so a
-typo cannot silently fall back to a default.
+typo cannot silently fall back to a default; a wrongly typed value or a
+non-finite real is rejected naming its key. Each leaf is declared once, as
+a :class:`PipelineConfig` field whose metadata holds its key, its check,
+its CLI flag and the subcommands that take it.
 """
 
+import argparse
 import json
+import math
 import numbers
-from dataclasses import dataclass, fields
+import sys
+from dataclasses import MISSING, dataclass, field, fields
 
 from .errors import ValidationError
 
 FORMATS = ("json", "csv", "text")
 
+_ALL = ("analyze", "factors", "rank", "compare")
+_FACTOR = ("analyze", "factors", "rank")
+_RANK = ("analyze", "rank")
+_COMPARE = ("analyze", "compare")
+
+
+def _csv_list(text):
+    items = [item.strip() for item in text.split(",")]
+    return tuple(item for item in items if item)
+
+
+def _fail(key, expected, value):
+    raise ValidationError(f"{key} must be {expected}, got {value!r}")
+
+
+def _check(accepts, expected, **flag_extras):
+    """A value check, carrying the argparse keywords of the value's flag."""
+    def check(key, value):
+        if not accepts(value):
+            _fail(key, expected, value)
+        return value
+    check.flag_extras = flag_extras
+    return check
+
+
+def _is_number(value, kind=numbers.Real):
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+_string = _check(lambda v: isinstance(v, str), "a string")
+_boolean = _check(lambda v: isinstance(v, bool), "true or false",
+                  action=argparse.BooleanOptionalAction)
+
+
+def _integer(low=-math.inf):
+    return _check(lambda v: _is_number(v, numbers.Integral) and v >= low,
+                  f"an integer >= {low}" if low > -math.inf else "an integer", type=int)
+
+
+def _real(low, high=math.inf):
+    """A finite real in the open interval (low, high)."""
+    # The comparisons are False for NaN; the magnitude test catches the
+    # infinities and integers too large for a float.
+    return _check(lambda v: _is_number(v) and low < v < high
+                  and abs(v) <= sys.float_info.max,
+                  f"a finite number in ({low:g}, {high:g})", type=float)
+
+
+def _choice(*allowed):
+    return _check(lambda v: v in allowed,
+                  f"one of {', '.join(map(repr, allowed))}", choices=list(allowed))
+
+
+def _strings(allowed=None):
+    """A list of strings, stored as a tuple; entries from ``allowed`` if given."""
+    entry = (_choice(*allowed) if allowed
+             else _check(lambda v: isinstance(v, str), "strings"))
+
+    def check(key, value):
+        if not isinstance(value, (list, tuple)):
+            _fail(key, "a list of strings", value)
+        return tuple(entry(f"{key} entries", item) for item in value)
+    # A list from a fixed vocabulary is given on the command line by
+    # repeating its flag, any other list as one comma-separated value.
+    check.flag_extras = ({"action": "append", "choices": list(allowed)} if allowed
+                         else {"type": _csv_list})
+    return check
+
+
+def _option(key, check, default=None, flag=None, commands=_ALL, help=None):
+    """A config field: document ``key``, value ``check``, CLI ``flag``."""
+    return field(default=default, metadata=dict(
+        key=key, check=check, flag=flag, commands=commands, help=help))
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    input: str
-    id_column: str = None
-    missing_policy: str = "error"
-    variables: tuple = None
-    retention_rule: str = "kaiser"
-    retention_k: int = None
-    rotation_method: str = "varimax"
-    kaiser_normalization: bool = True
-    rotation_tol: float = 1e-12
-    rotation_max_iter: int = 1000
-    ranking_factor: int = 1
-    ranking_direction: str = "ascending"
-    ranking_k: int = 10
-    compare_variables: tuple = None
-    compare_group1: tuple = None
-    compare_group2: tuple = None
-    alpha: float = 0.05
-    alpha_levene: float = 0.05
-    ci_level: float = 0.95
-    standardize_scope: str = "selected"
-    levene_center: str = "mean"
-    out_dir: str = "."
-    formats: tuple = ("json",)
+    input: str = _option("input", _string, MISSING, "--input",
+                         help="input CSV (cases x indicators)")
+    id_column: str = _option("id_column", _string, None, "--id-column",
+                             help="identifier column name (default: first column)")
+    missing_policy: str = _option("missing_policy", _choice("error", "listwise"),
+                                  "error", "--missing-policy")
+    variables: tuple = _option("variables", _strings(), None, "--variables",
+                               help="comma-separated analysis variables (default: all)")
+    retention_rule: str = _option("retention.rule", _choice("kaiser", "fixed"),
+                                  "kaiser", "--retention", _FACTOR)
+    retention_k: int = _option("retention.k", _integer(), None, "--retention-k",
+                               _FACTOR)
+    rotation_method: str = _option("rotation.method", _choice("varimax", "none"),
+                                   "varimax", "--rotation", _FACTOR)
+    kaiser_normalization: bool = _option("rotation.kaiser_normalization", _boolean,
+                                         True, "--kaiser-normalization", _FACTOR)
+    rotation_tol: float = _option("rotation.tol", _real(0.0), 1e-12,
+                                  "--rotation-tol", _FACTOR)
+    rotation_max_iter: int = _option("rotation.max_iter", _integer(1), 1000,
+                                     "--rotation-max-iter", _FACTOR)
+    ranking_factor: int = _option("ranking.factor", _integer(1), 1, "--factor", _RANK,
+                                  help="1-based factor to rank on")
+    ranking_direction: str = _option("ranking.direction",
+                                     _choice("ascending", "descending"),
+                                     "ascending", "--direction", _RANK)
+    ranking_k: int = _option("ranking.k", _integer(1), 10, "--k", _RANK,
+                             help="group size for the top/bottom split")
+    compare_variables: tuple = _option(
+        "comparison.variables", _strings(), None, "--compare-variables", _COMPARE,
+        help="comma-separated variables for the comparison")
+    compare_group1: tuple = _option("comparison.group1", _strings(), None, "--group1",
+                                    ("compare",),
+                                    help="comma-separated case ids of group 1")
+    compare_group2: tuple = _option("comparison.group2", _strings(), None, "--group2",
+                                    ("compare",),
+                                    help="comma-separated case ids of group 2")
+    alpha: float = _option("comparison.alpha", _real(0.0, 1.0), 0.05, "--alpha",
+                           _COMPARE)
+    alpha_levene: float = _option("comparison.alpha_levene", _real(0.0, 1.0), 0.05,
+                                  "--alpha-levene", _COMPARE)
+    ci_level: float = _option("comparison.ci_level", _real(0.0, 1.0), 0.95,
+                              "--ci-level", _COMPARE)
+    standardize_scope: str = _option("comparison.standardize_scope",
+                                     _choice("selected", "all"), "selected",
+                                     "--standardize-scope", _COMPARE)
+    levene_center: str = _option("comparison.levene_center", _choice("mean", "median"),
+                                 "mean", "--levene-center", _COMPARE)
+    out_dir: str = _option("output.dir", _string, ".", "--out-dir",
+                           help="output directory")
+    formats: tuple = _option("output.formats", _strings(FORMATS), ("json",),
+                             "--format", help="output format; repeat for several")
 
     def __post_init__(self):
         if not self.input:
             raise ValidationError("config requires an input path")
-        for name, label in _STRING_FIELDS.items():
-            value = getattr(self, name)
-            if value is not None and not isinstance(value, str):
-                raise ValidationError(f"{label} must be a string, got {value!r}")
-        for name, label in _INTEGER_FIELDS.items():
-            value = getattr(self, name)
-            if value is not None and (isinstance(value, bool)
-                                      or not isinstance(value, numbers.Integral)):
-                raise ValidationError(f"{label} must be an integer, got {value!r}")
-        for name, label in _LIST_FIELDS.items():
-            value = getattr(self, name)
-            if value is None:
-                continue
-            if not isinstance(value, (list, tuple)):
-                raise ValidationError(
-                    f"{label} must be a list of strings, got {value!r}"
-                )
-            for item in value:
-                if not isinstance(item, str):
-                    raise ValidationError(
-                        f"{label} entries must be strings, got {item!r}"
-                    )
-            object.__setattr__(self, name, tuple(value))
-        _enum("missing_policy", self.missing_policy, ("error", "listwise"))
-        _enum("retention.rule", self.retention_rule, ("kaiser", "fixed"))
-        _enum("rotation.method", self.rotation_method, ("varimax", "none"))
-        _enum("ranking.direction", self.ranking_direction,
-              ("ascending", "descending"))
-        _enum("comparison.standardize_scope", self.standardize_scope,
-              ("selected", "all"))
-        _enum("comparison.levene_center", self.levene_center, ("mean", "median"))
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None or f.default is not None:
+                object.__setattr__(self, f.name,
+                                   f.metadata["check"](f.metadata["key"], value))
+        # The one rule that spans fields, and the one list that must not be empty.
         if self.retention_rule == "fixed" and (self.retention_k is None
                                                or self.retention_k < 1):
             raise ValidationError("retention.rule 'fixed' requires retention k >= 1")
-        if self.ranking_factor < 1:
-            raise ValidationError("ranking.factor must be >= 1")
-        if self.ranking_k < 1:
-            raise ValidationError("ranking.k must be >= 1")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValidationError(f"alpha must be in (0, 1), got {self.alpha!r}")
-        if not 0.0 < self.alpha_levene < 1.0:
-            raise ValidationError(
-                f"alpha_levene must be in (0, 1), got {self.alpha_levene!r}"
-            )
-        if not 0.0 < self.ci_level < 1.0:
-            raise ValidationError(f"ci_level must be in (0, 1), got {self.ci_level!r}")
-        if self.rotation_tol <= 0.0:
-            raise ValidationError("rotation.tol must be positive")
-        if self.rotation_max_iter < 1:
-            raise ValidationError("rotation.max_iter must be >= 1")
         if not self.formats:
             raise ValidationError("output.formats must not be empty")
-        for fmt in self.formats:
-            _enum("output.formats", fmt, FORMATS)
 
     def to_dict(self):
         """Nested document form; round-trips through :func:`config_from_dict`."""
-        return {
-            "input": self.input,
-            "id_column": self.id_column,
-            "missing_policy": self.missing_policy,
-            "variables": _opt_list(self.variables),
-            "retention": {"rule": self.retention_rule, "k": self.retention_k},
-            "rotation": {
-                "method": self.rotation_method,
-                "kaiser_normalization": self.kaiser_normalization,
-                "tol": self.rotation_tol,
-                "max_iter": self.rotation_max_iter,
-            },
-            "ranking": {
-                "factor": self.ranking_factor,
-                "direction": self.ranking_direction,
-                "k": self.ranking_k,
-            },
-            "comparison": {
-                "variables": _opt_list(self.compare_variables),
-                "group1": _opt_list(self.compare_group1),
-                "group2": _opt_list(self.compare_group2),
-                "alpha": self.alpha,
-                "alpha_levene": self.alpha_levene,
-                "ci_level": self.ci_level,
-                "standardize_scope": self.standardize_scope,
-                "levene_center": self.levene_center,
-            },
-            "output": {"dir": self.out_dir, "formats": list(self.formats)},
-        }
+        return _nest((f.metadata["key"], _as_json(getattr(self, f.name)))
+                     for f in fields(self))
 
 
-# Fields whose JSON type is checked up front, with their document names.
-_STRING_FIELDS = {"input": "input", "id_column": "id_column", "out_dir": "output.dir"}
-_INTEGER_FIELDS = {
-    "retention_k": "retention.k",
-    "rotation_max_iter": "rotation.max_iter",
-    "ranking_factor": "ranking.factor",
-    "ranking_k": "ranking.k",
-}
-_LIST_FIELDS = {
-    "variables": "variables",
-    "compare_variables": "comparison.variables",
-    "compare_group1": "comparison.group1",
-    "compare_group2": "comparison.group2",
-    "formats": "output.formats",
-}
+def _as_json(value):
+    return list(value) if isinstance(value, tuple) else value
 
 
-def _opt_list(value):
-    return None if value is None else list(value)
+def _nest(pairs):
+    """``("section.leaf", value)`` pairs -> a document nested by section."""
+    document = {}
+    for key, value in pairs:
+        section, _, leaf = key.rpartition(".")
+        (document.setdefault(section, {}) if section else document)[leaf] = value
+    return document
 
 
-def _enum(name, value, allowed):
-    if value not in allowed:
-        raise ValidationError(
-            f"{name} must be one of {', '.join(map(repr, allowed))}, got {value!r}"
-        )
-
-
-_SECTIONS = {
-    "retention": {"rule": "retention_rule", "k": "retention_k"},
-    "rotation": {
-        "method": "rotation_method",
-        "kaiser_normalization": "kaiser_normalization",
-        "tol": "rotation_tol",
-        "max_iter": "rotation_max_iter",
-    },
-    "ranking": {
-        "factor": "ranking_factor",
-        "direction": "ranking_direction",
-        "k": "ranking_k",
-    },
-    "comparison": {
-        "variables": "compare_variables",
-        "group1": "compare_group1",
-        "group2": "compare_group2",
-        "alpha": "alpha",
-        "alpha_levene": "alpha_levene",
-        "ci_level": "ci_level",
-        "standardize_scope": "standardize_scope",
-        "levene_center": "levene_center",
-    },
-    "output": {"dir": "out_dir", "formats": "formats"},
-}
-_TOP_KEYS = ("input", "id_column", "missing_policy", "variables")
+# The document shape, with each leaf holding its field name.
+_SCHEMA = _nest((f.metadata["key"], f.name) for f in fields(PipelineConfig))
 
 
 def _flatten(document):
@@ -209,20 +208,20 @@ def _flatten(document):
         raise ValidationError("config document must be a JSON object")
     flat = {}
     for key, value in document.items():
-        if key in _TOP_KEYS:
-            flat[key] = value
-        elif key in _SECTIONS:
-            if value is None:
-                continue
-            if not isinstance(value, dict):
-                raise ValidationError(f"config section {key!r} must be an object")
-            mapping = _SECTIONS[key]
-            for sub, subvalue in value.items():
-                if sub not in mapping:
-                    raise ValidationError(f"unknown config key {key}.{sub!r}")
-                flat[mapping[sub]] = subvalue
-        else:
+        entry = _SCHEMA.get(key)
+        if entry is None:
             raise ValidationError(f"unknown config key {key!r}")
+        if isinstance(entry, str):
+            flat[entry] = value
+            continue
+        if value is None:
+            continue
+        if not isinstance(value, dict):
+            raise ValidationError(f"config section {key!r} must be an object")
+        for sub, subvalue in value.items():
+            if sub not in entry:
+                raise ValidationError(f"unknown config key {key}.{sub!r}")
+            flat[entry[sub]] = subvalue
     return flat
 
 
@@ -244,10 +243,7 @@ def config_from_dict(document, overrides=None):
     flat = {k: v for k, v in flat.items() if v is not None}
     if "input" not in flat:
         raise ValidationError("config requires an input path")
-    try:
-        return PipelineConfig(**flat)
-    except TypeError as exc:
-        raise ValidationError(f"invalid config: {exc}") from None
+    return PipelineConfig(**flat)
 
 
 def load_config(path, overrides=None):
@@ -257,4 +253,6 @@ def load_config(path, overrides=None):
             document = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON ({exc})") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None
     return config_from_dict(document, overrides)

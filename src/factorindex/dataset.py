@@ -98,6 +98,14 @@ def _first_duplicate(items):
     return None
 
 
+def _utf8_lines(fh, path):
+    """The lines of ``fh``; a decoding error met while reading names ``path``."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def load_csv(path, id_column=None, missing_policy="error"):
     """Read an indicator table from ``path`` into an :class:`IndicatorDataset`.
 
@@ -112,7 +120,7 @@ def load_csv(path, id_column=None, missing_policy="error"):
             f"missing_policy must be 'error' or 'listwise', got {missing_policy!r}"
         )
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(_utf8_lines(fh, path))
         try:
             header = next(reader)
         except StopIteration:

@@ -40,6 +40,18 @@ def _load_dataset(config):
     return ds
 
 
+def _compare(config, ds, group1, group2):
+    return with_stage(
+        "comparison", compare_groups, ds, group1, group2,
+        variables=config.compare_variables,
+        alpha=config.alpha,
+        alpha_levene=config.alpha_levene,
+        ci_level=config.ci_level,
+        standardize_scope=config.standardize_scope,
+        levene_center=config.levene_center,
+    )
+
+
 def run_pipeline(config, stage="analyze"):
     """Run the pipeline up to ``stage`` and write the report files.
 
@@ -86,19 +98,7 @@ def run_pipeline(config, stage="analyze"):
         artifacts["ranking"] = ranked
 
     if stage == "analyze":
-        comparison = with_stage(
-            "comparison",
-            compare_groups,
-            ds,
-            ranked.group1_ids,
-            ranked.group2_ids,
-            variables=config.compare_variables,
-            alpha=config.alpha,
-            alpha_levene=config.alpha_levene,
-            ci_level=config.ci_level,
-            standardize_scope=config.standardize_scope,
-            levene_center=config.levene_center,
-        )
+        comparison = _compare(config, ds, ranked.group1_ids, ranked.group2_ids)
         artifacts["comparison"] = comparison
 
     files = _write_outputs(config, artifacts)
@@ -113,19 +113,7 @@ def run_compare(config):
             "compare requires comparison.group1 and comparison.group2 id lists"
         )
     ds = _load_dataset(config)
-    comparison = with_stage(
-        "comparison",
-        compare_groups,
-        ds,
-        config.compare_group1,
-        config.compare_group2,
-        variables=config.compare_variables,
-        alpha=config.alpha,
-        alpha_levene=config.alpha_levene,
-        ci_level=config.ci_level,
-        standardize_scope=config.standardize_scope,
-        levene_center=config.levene_center,
-    )
+    comparison = _compare(config, ds, config.compare_group1, config.compare_group2)
     files = _write_outputs(config, {"comparison": comparison})
     return PipelineResult(config=config, model=None, ranked=None,
                           comparison=comparison, files=tuple(files))

@@ -1,12 +1,15 @@
+import argparse
 import csv
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from factorindex.cli import main
-from factorindex.config import config_from_dict
+from factorindex import config as config_module
+from factorindex.cli import build_parser, main
+from factorindex.config import PipelineConfig, config_from_dict
 
 from conftest import make_table, write_table_csv
 
@@ -31,6 +34,15 @@ def write_identity_correlation_csv(tmp_path):
         for i, row in enumerate(rows):
             writer.writerow([f"case{i}"] + [repr(v) for v in row])
     return str(path)
+
+
+def leaves(document, prefix=""):
+    """(dotted key, value) for every leaf of a nested config document."""
+    for key, value in document.items():
+        if isinstance(value, dict):
+            yield from leaves(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}", value
 
 
 @pytest.fixture()
@@ -158,6 +170,60 @@ class TestSubcommands:
         assert main(["analyze", "--input", table_csv, "--frob"]) == 2
         assert "usage" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--retention", "fixed"],
+        ["compare", "--k", "5"],
+        ["factors", "--alpha", "0.1"],
+        ["factors", "--direction", "descending"],
+        ["rank", "--levene-center", "median"],
+        ["analyze", "--group1", "a,b"],
+    ])
+    def test_flag_of_another_subcommand_exits_2(self, table_csv, tmp_path,
+                                                capsys, argv):
+        out = tmp_path / "out"
+        assert main(argv + ["--input", table_csv, "--out-dir", str(out)]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_rotation_tol_flag_exits_2(self, table_csv, tmp_path,
+                                                  capsys, value):
+        out = tmp_path / "out"
+        rc = main(["factors", "--input", table_csv, "--out-dir", str(out),
+                   "--rotation-tol", value])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "rotation.tol must be a finite number" in err
+        assert not out.exists()
+
+    def test_non_utf8_csv_exits_2(self, table_csv, tmp_path, capsys):
+        # The bad byte sits past the decoder's first chunk, so it is met
+        # while the rows are being parsed, not when the file is opened.
+        path = tmp_path / "latin1.csv"
+        with open(table_csv, "rb") as fh:
+            content = fh.read()
+        assert len(content) > 8192
+        path.write_bytes(content + b"caf\xe9" + b",1.0" * 34 + b"\n")
+        out = tmp_path / "out"
+        rc = main(["factors", "--input", str(path), "--out-dir", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "latin1.csv: not UTF-8" in err
+        assert not out.exists()
+
+    def test_every_flag_names_its_config_key(self):
+        parser = build_parser()
+        subparsers = next(action for action in parser._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        named = set()
+        for subparser in subparsers.choices.values():
+            for action in subparser._actions:
+                if action.dest not in ("help", "config"):
+                    assert action.help.endswith(")"), action.option_strings
+                    named.add(action.help.rsplit("(config: ", 1)[1][:-1])
+        document = config_from_dict({"input": "x.csv"}).to_dict()
+        assert named == {key for key, _ in leaves(document)}
+
     def test_rotation_none_flag(self, table_csv, tmp_path):
         out = tmp_path / "unrotated"
         rc = main(["factors", "--input", table_csv, "--out-dir", str(out),
@@ -237,6 +303,11 @@ class TestConfigFile:
          "output.formats must be a list of strings"),
         ({"comparison": {"group1": [1, 2]}},
          "comparison.group1 entries must be strings"),
+        ({"rotation": {"kaiser_normalization": "false"}},
+         "rotation.kaiser_normalization must be true or false"),
+        ({"comparison": {"alpha": "0.1"}}, "comparison.alpha must be a finite number"),
+        ({"rotation": {"tol": "1e-9"}}, "rotation.tol must be a finite number"),
+        ({"rotation": {"tol": float("nan")}}, "rotation.tol must be a finite number"),
     ])
     def test_wrongly_typed_value_exits_2(self, table_csv, tmp_path, capsys,
                                          document, message):
@@ -254,6 +325,35 @@ class TestConfigFile:
         cfg_path.write_text("{not json")
         assert main(["analyze", "--config", str(cfg_path)]) == 2
         assert "invalid JSON" in capsys.readouterr().err
+
+    def test_non_utf8_config_exits_2(self, table_csv, tmp_path, capsys):
+        cfg_path = tmp_path / "run.json"
+        out = tmp_path / "out"
+        cfg_path.write_bytes(json.dumps({"input": table_csv, "id_column": "caf\u00e9",
+                                         "output": {"dir": str(out)}},
+                                        ensure_ascii=False).encode("latin-1"))
+        assert main(["analyze", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "run.json: not UTF-8" in err
+        assert not out.exists()
+
+    def test_every_wrongly_typed_leaf_exits_2(self, table_csv, tmp_path, capsys):
+        # A value of the wrong JSON kind: a string for numbers and booleans,
+        # a number for strings, an object for lists.
+        wrong = {str: 1, int: "1", float: "0.5", bool: "true", tuple: {}}
+        kinds = {f.metadata["key"]: f.type for f in fields(PipelineConfig)}
+        out = tmp_path / "out"
+        for key, _ in leaves(config_from_dict({"input": "x.csv"}).to_dict()):
+            document = {"input": table_csv, "output": {"dir": str(out)}}
+            section, _, leaf = key.rpartition(".")
+            node = document.setdefault(section, {}) if section else document
+            node[leaf] = wrong[kinds[key]]
+            cfg_path = tmp_path / "run.json"
+            cfg_path.write_text(json.dumps(document))
+            assert main(["analyze", "--config", str(cfg_path)]) == 2, key
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and f"{key} must be" in err, (key, err)
+            assert not out.exists()
 
 
 class TestConfigValidation:
@@ -279,6 +379,11 @@ class TestConfigValidation:
         from factorindex.errors import ValidationError
         with pytest.raises(ValidationError, match="requires retention k"):
             config_from_dict({"input": "x.csv", "retention": {"rule": "fixed"}})
+
+    def test_module_docstring_shows_the_defaults(self):
+        doc = config_module.__doc__
+        example = json.loads(doc[doc.index("{"):doc.rindex("}") + 1])
+        assert example == config_from_dict({"input": "table.csv"}).to_dict()
 
     def test_defaults_round_trip(self):
         cfg = config_from_dict({"input": "x.csv"})
