@@ -69,9 +69,9 @@ _boolean = _check(lambda v: isinstance(v, bool), "true or false",
                   action=argparse.BooleanOptionalAction)
 
 
-def _integer(low=-math.inf):
+def _integer(low):
     return _check(lambda v: _is_number(v, numbers.Integral) and v >= low,
-                  f"an integer >= {low}" if low > -math.inf else "an integer", type=int)
+                  f"an integer >= {low}", type=int)
 
 
 def _real(low, high=math.inf):
@@ -122,7 +122,7 @@ class PipelineConfig:
                                help="comma-separated analysis variables (default: all)")
     retention_rule: str = _option("retention.rule", _choice("kaiser", "fixed"),
                                   "kaiser", "--retention", _FACTOR)
-    retention_k: int = _option("retention.k", _integer(), None, "--retention-k",
+    retention_k: int = _option("retention.k", _integer(1), None, "--retention-k",
                                _FACTOR)
     rotation_method: str = _option("rotation.method", _choice("varimax", "none"),
                                    "varimax", "--rotation", _FACTOR)
@@ -173,8 +173,7 @@ class PipelineConfig:
                 object.__setattr__(self, f.name,
                                    f.metadata["check"](f.metadata["key"], value))
         # The one rule that spans fields, and the one list that must not be empty.
-        if self.retention_rule == "fixed" and (self.retention_k is None
-                                               or self.retention_k < 1):
+        if self.retention_rule == "fixed" and self.retention_k is None:
             raise ValidationError("retention.rule 'fixed' requires retention k >= 1")
         if not self.formats:
             raise ValidationError("output.formats must not be empty")

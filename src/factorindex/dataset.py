@@ -10,7 +10,7 @@ import csv
 import difflib
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,16 +23,11 @@ _ZERO_SD = 1e-12
 
 @dataclass(frozen=True)
 class IndicatorDataset:
-    """Numeric table of ``n`` cases by ``p`` indicators.
-
-    ``metadata`` optionally maps an indicator name to descriptive tags
-    (e.g. theme / subtheme); it never participates in computation.
-    """
+    """Numeric table of ``n`` cases by ``p`` indicators."""
 
     case_ids: tuple
     indicator_names: tuple
     values: np.ndarray
-    metadata: dict = field(default=None, compare=False)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -49,10 +44,10 @@ class IndicatorDataset:
             raise ValidationError(f"need at least {_MIN_CASES} cases, got {n}")
         if p < _MIN_VARIABLES:
             raise ValidationError(f"need at least {_MIN_VARIABLES} indicators, got {p}")
-        dup = _first_duplicate(self.case_ids)
+        dup = first_duplicate(self.case_ids)
         if dup is not None:
             raise ValidationError(f"duplicate case id: {dup!r}")
-        dup = _first_duplicate(self.indicator_names)
+        dup = first_duplicate(self.indicator_names)
         if dup is not None:
             raise ValidationError(f"duplicate indicator name: {dup!r}")
         if not np.all(np.isfinite(values)):
@@ -89,7 +84,7 @@ class StandardizedMatrix:
             object.__setattr__(self, name, arr)
 
 
-def _first_duplicate(items):
+def first_duplicate(items):
     seen = set()
     for item in items:
         if item in seen:
@@ -98,87 +93,81 @@ def _first_duplicate(items):
     return None
 
 
-def _utf8_lines(fh, path):
-    """The lines of ``fh``; a decoding error met while reading names ``path``."""
-    try:
-        yield from fh
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None
-
-
 def load_csv(path, id_column=None, missing_policy="error"):
     """Read an indicator table from ``path`` into an :class:`IndicatorDataset`.
 
     ``id_column`` names the identifier column (default: the first column).
     ``missing_policy`` is ``"error"`` (reject any blank/non-finite cell) or
     ``"listwise"`` (drop incomplete rows with a warning). Non-numeric text in
-    a numeric column is always an error, reported with its data row number
-    (1-based, header excluded) and column name.
+    a numeric column and a blank case id are always errors, reported with the
+    data row number (1-based, header excluded).
     """
     if missing_policy not in ("error", "listwise"):
         raise ValidationError(
             f"missing_policy must be 'error' or 'listwise', got {missing_policy!r}"
         )
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(_utf8_lines(fh, path))
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: file is empty") from None
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise ValidationError(f"{path}: file is empty") from None
 
-        header = [h.strip() for h in header]
-        if id_column is None:
-            id_index = 0
-        else:
-            if id_column not in header:
-                raise ValidationError(
-                    f"id column {id_column!r} not found; header has {header}"
-                )
-            id_index = header.index(id_column)
-        indicator_names = [h for i, h in enumerate(header) if i != id_index]
+            header = [h.strip() for h in header]
+            if id_column is None:
+                id_index = 0
+            else:
+                if id_column not in header:
+                    raise ValidationError(
+                        f"id column {id_column!r} not found; header has {header}"
+                    )
+                id_index = header.index(id_column)
+            indicator_names = [h for i, h in enumerate(header) if i != id_index]
 
-        rows = (row for row in reader if row and any(cell.strip() for cell in row))
-        case_ids = []
-        parsed = []
-        dropped = []  # ids of incomplete rows skipped under listwise
-        for row_number, row in enumerate(rows, start=1):
-            if len(row) != len(header):
-                raise ValidationError(
-                    f"row {row_number}: expected {len(header)} fields, got {len(row)}"
-                )
-            case_id = row[id_index].strip()
-            data = []
-            missing_here = False
-            col = 0
-            for i, cell in enumerate(row):
-                if i == id_index:
-                    continue
-                name = indicator_names[col]
-                col += 1
-                text = cell.strip()
-                if not text:
-                    value = np.nan
-                else:
+            rows = (row for row in reader if row and any(cell.strip() for cell in row))
+            case_ids = []
+            parsed = []
+            dropped = []  # ids of incomplete rows skipped under listwise
+            for row_number, row in enumerate(rows, start=1):
+                if len(row) != len(header):
+                    raise ValidationError(
+                        f"row {row_number}: expected {len(header)} fields, got {len(row)}"
+                    )
+                case_id = row.pop(id_index).strip()
+                data = []
+                missing_here = False
+                for name, cell in zip(indicator_names, row):
                     try:
-                        value = float(text)
+                        value = float(cell)
                     except ValueError:
-                        raise ValidationError(
-                            f"non-numeric value {text!r} at row {row_number}, "
-                            f"column {name!r}"
-                        ) from None
-                if not math.isfinite(value):
-                    missing_here = True
-                    if missing_policy == "error":
-                        raise ValidationError(
-                            f"missing value at row {row_number}, column {name!r} "
-                            f"(case {case_id!r}); use missing_policy='listwise' to drop"
-                        )
-                data.append(value)
-            if missing_here:
-                dropped.append(case_id)
-                continue
-            case_ids.append(case_id)
-            parsed.append(data)
+                        # float() ignores surrounding whitespace but for 0x1c-0x1f,
+                        # which strip() also removes; a blank cell is missing.
+                        text = cell.strip()
+                        try:
+                            value = float(text or "nan")
+                        except ValueError:
+                            raise ValidationError(
+                                f"non-numeric value {text!r} at row {row_number}, "
+                                f"column {name!r}"
+                            ) from None
+                    if not math.isfinite(value):
+                        missing_here = True
+                        if missing_policy == "error":
+                            raise ValidationError(
+                                f"missing value at row {row_number}, column {name!r} "
+                                f"(case {case_id!r}); use missing_policy='listwise' to drop"
+                            )
+                    data.append(value)
+                if not case_id:
+                    raise ValidationError(f"row {row_number}: blank case id")
+                if missing_here:
+                    dropped.append(case_id)
+                    continue
+                case_ids.append(case_id)
+                parsed.append(data)
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
     if dropped:
         warnings.warn(
@@ -230,14 +219,10 @@ def select_variables(ds, names):
             hint = f"; did you mean {close[0]!r}?" if close else ""
             raise ValidationError(f"unknown indicator {name!r}{hint}")
         columns.append(index[name])
-    metadata = None
-    if ds.metadata is not None:
-        metadata = {k: v for k, v in ds.metadata.items() if k in set(names)}
     return IndicatorDataset(
         case_ids=ds.case_ids,
         indicator_names=tuple(names),
         values=ds.values[:, columns].copy(),
-        metadata=metadata,
     )
 
 

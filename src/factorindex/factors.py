@@ -14,7 +14,7 @@ import numpy as np
 
 from .dataset import StandardizedMatrix
 from .errors import NumericalError, ValidationError, with_stage
-from .numkernel import as_matrix, invert_spd, sym_eigen
+from .numkernel import as_matrix, canonical_signs, invert_spd, sym_eigen
 
 # Fixed-point tolerance for the rotation: a sweep whose largest pairwise
 # angle is below this leaves the loadings unchanged to ~1e-12, which keeps
@@ -167,13 +167,8 @@ def _canonicalize_columns(loadings, rotation):
     ss = np.sum(loadings * loadings, axis=0)
     order = np.argsort(-ss, kind="stable")
     loadings = loadings[:, order]
-    rotation = rotation[:, order]
-    for j in range(loadings.shape[1]):
-        i = int(np.argmax(np.abs(loadings[:, j])))
-        if loadings[i, j] < 0.0:
-            loadings[:, j] = -loadings[:, j]
-            rotation[:, j] = -rotation[:, j]
-    return loadings, rotation
+    signs = canonical_signs(loadings)
+    return loadings * signs, rotation[:, order] * signs
 
 
 def varimax(loadings, kaiser_normalize=True, tol=_DEFAULT_ROTATION_TOL,
@@ -202,7 +197,7 @@ def varimax(loadings, kaiser_normalize=True, tol=_DEFAULT_ROTATION_TOL,
 
     rotation = np.eye(k)
     if k == 1:
-        out, rotation = _canonicalize_columns(a.copy(), rotation)
+        out, rotation = _canonicalize_columns(a, rotation)
         return VarimaxResult(out, rotation, (_varimax_criterion(out),), True, 0)
 
     h = np.sqrt(np.sum(a * a, axis=1))

@@ -207,6 +207,10 @@ def compare_groups(ds, group1_ids, group2_ids, variables=None, alpha=0.05,
     unknown = (set(group1_ids) | set(group2_ids)) - known
     if unknown:
         raise ValidationError(f"unknown case id(s): {sorted(unknown)}")
+    for label, group in (("1", group1_ids), ("2", group2_ids)):
+        repeated = ds_mod.first_duplicate(group)
+        if repeated is not None:
+            raise ValidationError(f"group {label} repeats case id {repeated!r}")
 
     if variables is None:
         variables = ds.indicator_names
@@ -229,19 +233,12 @@ def compare_groups(ds, group1_ids, group2_ids, variables=None, alpha=0.05,
     for j, name in enumerate(sub.indicator_names):
         desc1 = group_descriptives(raw[rows1, j])
         desc2 = group_descriptives(raw[rows2, j])
-        if scope_sds[j] <= 1e-12:
-            records.append(VariableComparison(
-                name=name, group1=desc1, group2=desc2, levene=None,
-                pooled=None, welch=None, reported_variant=None,
-                significant=None, significant_at_05=None, significant_at_10=None,
-                degenerate=True,
-                note="constant within the standardization scope",
-            ))
-            continue
-        z = (raw[:, j] - scope_means[j]) / scope_sds[j]
-        z1 = z[rows1]
-        z2 = z[rows2]
         try:
+            if scope_sds[j] <= 1e-12:
+                raise DegenerateDataError("constant within the standardization scope")
+            z = (raw[:, j] - scope_means[j]) / scope_sds[j]
+            z1 = z[rows1]
+            z2 = z[rows2]
             levene = levene_test(z1, z2, center=levene_center)
             pooled = t_test_pooled(z1, z2, level=ci_level)
             welch = t_test_welch(z1, z2, level=ci_level)

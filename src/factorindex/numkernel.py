@@ -47,11 +47,10 @@ class EigenDecomposition:
     eigenvectors: np.ndarray
 
 
-def _canonical_column_signs(m):
-    """Flip each column so its largest-magnitude entry is positive (in place)."""
+def canonical_signs(m):
+    """Per column, the sign (+1 or -1) that makes its largest-magnitude entry positive."""
     peaks = m[np.argmax(np.abs(m), axis=0), np.arange(m.shape[1])]
-    m[:, peaks < 0.0] *= -1.0
-    return m
+    return np.where(peaks < 0.0, -1.0, 1.0)
 
 
 def sym_eigen(a):
@@ -81,7 +80,7 @@ def sym_eigen(a):
     order = np.argsort(-values, kind="stable")
     values = values[order]
     vecs = vecs[:, order]
-    _canonical_column_signs(vecs)
+    vecs *= canonical_signs(vecs)
     values.setflags(write=False)
     vecs.setflags(write=False)
     return EigenDecomposition(eigenvalues=values, eigenvectors=vecs)

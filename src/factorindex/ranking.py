@@ -35,23 +35,14 @@ class RankedIndex:
 
 
 def _resolve_factor(selector, n_factors):
-    """Accept 1-based integers or strings like '2' / 'factor_2'."""
-    if isinstance(selector, str):
-        text = selector.strip().lower()
-        if text.startswith("factor_"):
-            text = text[len("factor_"):]
-        if not text.isdigit():
-            raise ValidationError(f"cannot parse factor selector {selector!r}")
-        idx = int(text)
-    elif isinstance(selector, int) and not isinstance(selector, bool):
-        idx = selector
-    else:
+    """Check a 1-based integer factor selector against the retained count."""
+    if not isinstance(selector, int) or isinstance(selector, bool):
         raise ValidationError(f"cannot parse factor selector {selector!r}")
-    if not 1 <= idx <= n_factors:
+    if not 1 <= selector <= n_factors:
         raise ValidationError(
             f"factor selector {selector!r} out of range: model retains {n_factors}"
         )
-    return idx
+    return selector
 
 
 def rank_by_factor(scores, factor, direction="ascending"):

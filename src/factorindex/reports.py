@@ -149,8 +149,8 @@ def top_loading_variables(model, factor, count=3):
     return [(model.indicator_names[i], float(column[i])) for i in order[:count]]
 
 
-def ranking_payload(ranked, model=None):
-    payload = {
+def ranking_payload(ranked, model):
+    return {
         "factor": int(ranked.factor),
         "direction": ranked.direction,
         "entries": [
@@ -160,13 +160,11 @@ def ranking_payload(ranked, model=None):
         "group_size": None if ranked.group_size is None else int(ranked.group_size),
         "group1_ids": list(ranked.group1_ids),
         "group2_ids": list(ranked.group2_ids),
-    }
-    if model is not None:
-        payload["top_loadings"] = [
+        "top_loadings": [
             {"variable": name, "loading": _clean(value)}
             for name, value in top_loading_variables(model, ranked.factor)
-        ]
-    return payload
+        ],
+    }
 
 
 def ranking_csv(ranked):
@@ -176,15 +174,13 @@ def ranking_csv(ranked):
     return _csv_text(rows)
 
 
-def ranking_text(ranked, model=None):
-    lines = [f"Ranking on factor {ranked.factor} ({ranked.direction})"]
-    if model is not None:
-        strongest = ", ".join(
-            f"{name} ({value:.3f})"
-            for name, value in top_loading_variables(model, ranked.factor)
-        )
-        lines.append(f"Largest loadings on this factor: {strongest}")
-    lines.append("")
+def ranking_text(ranked, model):
+    strongest = ", ".join(
+        f"{name} ({value:.3f})"
+        for name, value in top_loading_variables(model, ranked.factor)
+    )
+    lines = [f"Ranking on factor {ranked.factor} ({ranked.direction})",
+             f"Largest loadings on this factor: {strongest}", ""]
     width = max(len("Communities"), max(len(e.case_id) for e in ranked.entries))
     lines.append(f"{'Rank':>4} | Communities")
     lines.append("-" * (7 + width))

@@ -158,6 +158,16 @@ class TestSubcommands:
         assert parsed["group1_ids"] == list(ids[:10])
         assert len(parsed["variables"]) == 34
 
+    def test_compare_rejects_a_repeated_id(self, table_csv, tmp_path, capsys):
+        out = tmp_path / "cmp"
+        rc = main(["compare", "--input", table_csv, "--out-dir", str(out),
+                   "--group1", "Community_01,Community_01,Community_02,Community_03",
+                   "--group2", "Community_80,Community_81,Community_82"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "error: group 1 repeats case id 'Community_01'\n"
+        assert not out.exists()
+
     def test_compare_requires_groups(self, table_csv, capsys):
         assert main(["compare", "--input", table_csv]) == 2
         assert "group1" in capsys.readouterr().err
@@ -319,6 +329,22 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err
         assert not (tmp_path / "out").exists()
+
+    def test_retention_k_below_1_exits_2_under_kaiser(self, table_csv, tmp_path,
+                                                      capsys):
+        out = tmp_path / "out"
+        rc = main(["factors", "--input", table_csv, "--out-dir", str(out),
+                   "--retention", "kaiser", "--retention-k", "-2"])
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            "error: retention.k must be an integer >= 1, got -2\n"
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"input": table_csv, "retention": {"k": -3},
+                                        "output": {"dir": str(out)}}))
+        assert main(["factors", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == \
+            "error: retention.k must be an integer >= 1, got -3\n"
+        assert not out.exists()
 
     def test_invalid_json_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.json"

@@ -70,6 +70,25 @@ class TestLoadCsv:
         with pytest.raises(ValidationError, match="duplicate case id: 'X'"):
             load_csv(path)
 
+    @pytest.mark.parametrize("body, row, policy", [
+        ("X,1,2\n,3,4\nZ,5,6\nW,7,8\n", 2, "error"),
+        ("X,1,2\n  ,3,4\nZ,5,6\nW,7,8\n", 2, "error"),
+        ("X,1,2\n,,4\nZ,5,6\nW,7,8\n", 2, "listwise"),
+        (",1,2\n,3,4\nZ,5,6\n", 1, "error"),
+    ])
+    def test_blank_case_id_names_row(self, tmp_path, body, row, policy):
+        path = write(tmp_path, "community,a,b\n" + body)
+        with pytest.raises(ValidationError, match=f"^row {row}: blank case id$"):
+            load_csv(path, missing_policy=policy)
+
+    def test_surrounding_whitespace_and_separators_are_ignored(self, tmp_path):
+        path = write(tmp_path,
+                     "community,a,b\nX, 1 ,\t2\nY,\x1f3,4\x1c\nZ,5,  \n")
+        with pytest.raises(ValidationError, match="missing value at row 3"):
+            load_csv(path)
+        path = write(tmp_path, "community,a,b\nX, 1 ,\t2\nY,\x1f3,4\x1c\nZ,5,6\n")
+        np.testing.assert_array_equal(load_csv(path).values, [[1, 2], [3, 4], [5, 6]])
+
     def test_unknown_id_column(self, tmp_path):
         path = write(tmp_path, "community,a,b\nX,1,2\nY,3,4\nZ,5,6\n")
         with pytest.raises(ValidationError, match="id column"):
@@ -183,11 +202,3 @@ class TestSelectVariables:
         cols = [ds.indicator_names.index(n) for n in names]
         b = z.values[:, cols]
         np.testing.assert_allclose(a, b, atol=1e-12)
-
-    def test_metadata_filtered(self):
-        ds = IndicatorDataset(
-            ("a", "b", "c"), ("x", "y", "w"), np.arange(9.0).reshape(3, 3),
-            metadata={"x": {"theme": "transport"}, "y": {"theme": "land"}},
-        )
-        sub = select_variables(ds, ["w", "x"])
-        assert sub.metadata == {"x": {"theme": "transport"}}

@@ -283,6 +283,15 @@ class TestCompareGroups:
         with pytest.raises(ValidationError, match="unknown case id"):
             compare_groups(ds, ("nope", "also"), ds.case_ids[10:])
 
+    def test_repeated_id_within_group_rejected(self):
+        rng = np.random.RandomState(59)
+        ds = two_group_dataset(rng)
+        ids = ds.case_ids
+        with pytest.raises(ValidationError, match=f"group 1 repeats case id '{ids[0]}'"):
+            compare_groups(ds, (ids[0], ids[0], ids[1], ids[2]), ids[10:])
+        with pytest.raises(ValidationError, match=f"group 2 repeats case id '{ids[12]}'"):
+            compare_groups(ds, ids[:10], ids[10:] + (ids[12],))
+
     def test_unknown_variable_suggests(self):
         rng = np.random.RandomState(61)
         ds = two_group_dataset(rng)

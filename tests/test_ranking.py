@@ -67,9 +67,9 @@ class TestRankByFactor:
         scores = FactorScores(("a", "b", "c"),
                               np.array([[0.0, 1.0], [1.0, 0.0], [2.0, -1.0]]))
         by_int = rank_by_factor(scores, 2)
-        by_name = rank_by_factor(scores, "factor_2")
-        assert [e.case_id for e in by_int.entries] == \
-            [e.case_id for e in by_name.entries] == ["c", "b", "a"]
+        assert [e.case_id for e in by_int.entries] == ["c", "b", "a"]
+        with pytest.raises(ValidationError, match="cannot parse"):
+            rank_by_factor(scores, "2")
 
     def test_unknown_selector(self):
         scores = scores_of({"a": 1.0, "b": 2.0, "c": 0.0})
