@@ -248,7 +248,7 @@ def config_from_dict(document, overrides=None):
 def load_config(path, overrides=None):
     """Read a JSON config file and apply flat overrides."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             document = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON ({exc})") from None

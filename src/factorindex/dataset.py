@@ -107,7 +107,7 @@ def load_csv(path, id_column=None, missing_policy="error"):
             f"missing_policy must be 'error' or 'listwise', got {missing_policy!r}"
         )
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)

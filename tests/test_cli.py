@@ -221,6 +221,24 @@ class TestSubcommands:
         assert err.count("\n") == 1 and "latin1.csv: not UTF-8" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("id_first", [True, False])
+    def test_bom_is_not_part_of_the_first_header(self, tmp_path, id_first):
+        # Spreadsheet exports often start with a UTF-8 byte-order mark.
+        ids, names, values = make_table()
+        rows = [["community"] + list(names)]
+        rows += [[cid] + [repr(float(v)) for v in row] for cid, row in zip(ids, values)]
+        if not id_first:
+            rows = [[row[1], row[0]] + row[2:] for row in rows]
+        path = tmp_path / "bom.csv"
+        with open(path, "w", encoding="utf-8-sig", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        out = tmp_path / "out"
+        rc = main(["factors", "--input", str(path), "--id-column", "community",
+                   "--out-dir", str(out), "--format", "json"])
+        assert rc == 0
+        model = json.loads((out / "factor_model.json").read_text())
+        assert sorted(model["indicator_names"]) == sorted(names)
+
     def test_every_flag_names_its_config_key(self):
         parser = build_parser()
         subparsers = next(action for action in parser._actions
@@ -362,6 +380,14 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "run.json: not UTF-8" in err
         assert not out.exists()
+
+    def test_bom_config_is_read(self, table_csv, tmp_path):
+        cfg_path = tmp_path / "run.json"
+        out = tmp_path / "out"
+        cfg_path.write_text(json.dumps({"input": table_csv, "output": {"dir": str(out)}}),
+                            encoding="utf-8-sig")
+        assert main(["factors", "--config", str(cfg_path)]) == 0
+        assert out.is_dir()
 
     def test_every_wrongly_typed_leaf_exits_2(self, table_csv, tmp_path, capsys):
         # A value of the wrong JSON kind: a string for numbers and booleans,

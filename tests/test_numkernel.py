@@ -4,9 +4,15 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
+from factorindex import numkernel
 from factorindex.errors import NumericalError, ValidationError
 from factorindex.numkernel import (f_tail_p, invert_spd, reg_incomplete_beta,
                                    sym_eigen, t_quantile, t_two_tailed_p)
+
+# The t_quantile accuracy grid: 11 df values from 1 to 1e5 and 11
+# probabilities from 1e-6 to 0.9999.
+QUANTILE_DFS = tuple(float(df) for df in np.logspace(0.0, 5.0, 11))
+QUANTILE_PROBS = (1e-6, 1e-4, 0.01, 0.025, 0.1, 0.3, 0.5001, 0.9, 0.975, 0.999, 0.9999)
 
 
 class TestSymEigen:
@@ -166,6 +172,13 @@ class TestStudentT:
                 2 * stats.t.sf(abs(t), df), abs=1e-12
             )
 
+    @pytest.mark.parametrize("t", [1e-4, 1e-3])
+    def test_small_statistic_with_large_df(self, t):
+        # x = df / (df + t^2) lies within 1e-11 of 1 here, so the
+        # complement 1 - x cannot be recovered from it.
+        p = t_two_tailed_p(t, 1e5)
+        assert p == pytest.approx(2 * stats.t.sf(t, 1e5), rel=1e-12, abs=0.0)
+
     def test_df_must_be_positive(self):
         with pytest.raises(ValidationError):
             t_two_tailed_p(1.0, 0.0)
@@ -194,6 +207,31 @@ class TestTQuantile:
 
     def test_negative_side(self):
         assert t_quantile(0.025, 18) == -t_quantile(0.975, 18)
+        for prob in (0.6, 0.9, 0.95, 0.995, 0.9999):
+            for df in (1, 7.3, 18, 1998, 1e5):
+                assert t_quantile(1.0 - prob, df) == -t_quantile(prob, df)
+
+    def test_matches_scipy_ppf(self):
+        for df in QUANTILE_DFS:
+            for prob in QUANTILE_PROBS:
+                assert t_quantile(prob, df) == pytest.approx(
+                    stats.t.ppf(prob, df), rel=1e-9, abs=0.0
+                ), (prob, df)
+
+    def test_few_incomplete_beta_evaluations(self, monkeypatch):
+        # A slide back to bisection would take about 62 per quantile.
+        calls = []
+
+        def counted(a, b, x):
+            calls.append(x)
+            return reg_incomplete_beta(a, b, x)
+
+        monkeypatch.setattr(numkernel, "reg_incomplete_beta", counted)
+        for df in QUANTILE_DFS:
+            for prob in QUANTILE_PROBS:
+                calls.clear()
+                t_quantile(prob, df)
+                assert 0 < len(calls) <= 25, (prob, df, len(calls))
 
     def test_domain_errors(self):
         with pytest.raises(ValidationError):
@@ -229,6 +267,12 @@ class TestFTail:
             assert f_tail_p(f, df1, df2) == pytest.approx(
                 stats.f.sf(f, df1, df2), abs=1e-12
             )
+
+    @pytest.mark.parametrize("f, df2", [(1e-8, 1e5), (1e-4, 5998)])
+    def test_small_statistic_with_large_df2(self, f, df2):
+        assert f_tail_p(f, 1, df2) == pytest.approx(
+            stats.f.sf(f, 1, df2), rel=1e-12, abs=0.0
+        )
 
     def test_domain_errors(self):
         with pytest.raises(ValidationError):
