@@ -10,6 +10,7 @@ import csv
 import difflib
 import math
 import warnings
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,7 +128,7 @@ def load_csv(path, id_column=None, missing_policy="error"):
 
             rows = (row for row in reader if row and any(cell.strip() for cell in row))
             case_ids = []
-            parsed = []
+            parsed = array("d")  # kept rows' values, row after row
             dropped = []  # ids of incomplete rows skipped under listwise
             for row_number, row in enumerate(rows, start=1):
                 if len(row) != len(header):
@@ -165,9 +166,11 @@ def load_csv(path, id_column=None, missing_policy="error"):
                     dropped.append(case_id)
                     continue
                 case_ids.append(case_id)
-                parsed.append(data)
+                parsed.extend(data)
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise ValidationError(f"{path}: line {reader.line_num}: {exc}") from None
 
     if dropped:
         warnings.warn(
@@ -175,12 +178,13 @@ def load_csv(path, id_column=None, missing_policy="error"):
             stacklevel=2,
         )
 
-    if len(parsed) < _MIN_CASES:
+    if len(case_ids) < _MIN_CASES:
         raise ValidationError(
             f"{path}: fewer than {_MIN_CASES} complete rows after loading "
-            f"({len(parsed)} remain)"
+            f"({len(case_ids)} remain)"
         )
-    values = np.array(parsed, dtype=float)
+    values = np.frombuffer(parsed, dtype=float).reshape(len(case_ids),
+                                                        len(indicator_names))
     return IndicatorDataset(tuple(case_ids), tuple(indicator_names), values)
 
 

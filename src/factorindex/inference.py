@@ -212,20 +212,15 @@ def compare_groups(ds, group1_ids, group2_ids, variables=None, alpha=0.05,
         if repeated is not None:
             raise ValidationError(f"group {label} repeats case id {repeated!r}")
 
-    if variables is None:
-        variables = ds.indicator_names
-    sub = ds_mod.select_variables(ds, variables)
+    sub = ds if variables is None else ds_mod.select_variables(ds, variables)
 
     row_of = {cid: i for i, cid in enumerate(sub.case_ids)}
     rows1 = [row_of[cid] for cid in group1_ids]
     rows2 = [row_of[cid] for cid in group2_ids]
-    raw = sub.values
+    # C order fixes the summation order of the column means and sds below.
+    raw = np.ascontiguousarray(sub.values)
 
-    if standardize_scope == "selected":
-        scope_rows = rows1 + rows2
-    else:
-        scope_rows = list(range(raw.shape[0]))
-    scope = raw[scope_rows, :]
+    scope = raw[rows1 + rows2, :] if standardize_scope == "selected" else raw
     scope_means = scope.mean(axis=0)
     scope_sds = scope.std(axis=0, ddof=1)
 

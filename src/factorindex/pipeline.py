@@ -143,8 +143,7 @@ def _write_outputs(config, artifacts):
     ranked = artifacts.get("ranking")
     if ranked is not None:
         if "json" in config.formats:
-            staged.append(("ranking.json",
-                           reports.to_json_text(reports.ranking_payload(ranked, model))))
+            staged.append(("ranking.json", reports.ranking_json(ranked, model)))
         if "csv" in config.formats:
             staged.append(("ranking.csv", reports.ranking_csv(ranked)))
         if "text" in config.formats:

@@ -2,6 +2,8 @@
 
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .errors import ValidationError
 from .factors import FactorScores
 
@@ -17,21 +19,35 @@ class RankEntry:
 class RankedIndex:
     """Cases ordered on one factor's scores, optionally split into end groups.
 
-    ``factor`` is the 1-based column that was ranked. Group 1 holds ranks
-    1..k, group 2 ranks n-k+1..n; both are empty until
-    :func:`select_groups` is applied.
+    ``factor`` is the 1-based column that was ranked. ``case_ids`` and
+    ``scores`` are columns in rank order: rank ``r`` is ``case_ids[r - 1]``
+    with score ``scores[r - 1]``. Group 1 holds ranks 1..k, group 2 ranks
+    n-k+1..n; both are empty until :func:`select_groups` is applied.
     """
 
     factor: int
     direction: str
-    entries: tuple
+    case_ids: tuple
+    scores: np.ndarray
     group_size: int = None
     group1_ids: tuple = ()
     group2_ids: tuple = ()
 
+    def __post_init__(self):
+        scores = np.asarray(self.scores, dtype=float)
+        scores.setflags(write=False)
+        object.__setattr__(self, "scores", scores)
+        object.__setattr__(self, "case_ids", tuple(self.case_ids))
+
     @property
     def n_cases(self):
-        return len(self.entries)
+        return len(self.case_ids)
+
+    @property
+    def entries(self):
+        """The ranking as :class:`RankEntry` records, built on each access."""
+        return tuple(map(RankEntry, range(1, self.n_cases + 1), self.case_ids,
+                         self.scores.tolist()))
 
 
 def _resolve_factor(selector, n_factors):
@@ -60,16 +76,16 @@ def rank_by_factor(scores, factor, direction="ascending"):
         )
     idx = _resolve_factor(factor, scores.scores.shape[1])
     column = scores.scores[:, idx - 1]
-    pairs = list(zip(scores.case_ids, (float(v) for v in column)))
-    if direction == "ascending":
-        pairs.sort(key=lambda item: (item[1], item[0]))
-    else:
-        pairs.sort(key=lambda item: (-item[1], item[0]))
-    entries = tuple(
-        RankEntry(rank=i, case_id=cid, score=score)
-        for i, (cid, score) in enumerate(pairs, start=1)
-    )
-    return RankedIndex(factor=idx, direction=direction, entries=entries)
+    ids = scores.case_ids
+    # Ties break on the id as Python orders str; numpy's str arrays would
+    # drop trailing NULs, so only the id's position in that order is sorted.
+    id_rank = np.empty(len(ids), dtype=np.intp)
+    id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    key = column if direction == "ascending" else -column
+    order = np.lexsort((id_rank, key))
+    return RankedIndex(factor=idx, direction=direction,
+                       case_ids=tuple(map(ids.__getitem__, order.tolist())),
+                       scores=column[order])
 
 
 def select_groups(ranked, k=10):
@@ -84,9 +100,7 @@ def select_groups(ranked, k=10):
             f"group size k={k!r} out of range: need 1 <= k <= floor(n/2) = {bound} "
             f"(n = {n})"
         )
-    group1 = tuple(e.case_id for e in ranked.entries[:k])
-    group2 = tuple(e.case_id for e in ranked.entries[n - k:])
-    return group1, group2
+    return ranked.case_ids[:k], ranked.case_ids[n - k:]
 
 
 def with_groups(ranked, k=10):

@@ -10,6 +10,8 @@ import csv
 import io
 import json
 import math
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 
 def _num(x):
@@ -149,14 +151,16 @@ def top_loading_variables(model, factor, count=3):
     return [(model.indicator_names[i], float(column[i])) for i in order[:count]]
 
 
-def ranking_payload(ranked, model):
+def _ranked_rows(ranked):
+    """(rank, case id, score) in rank order, each score a Python float."""
+    return zip(range(1, ranked.n_cases + 1), ranked.case_ids, ranked.scores.tolist())
+
+
+def _ranking_payload(ranked, model, entries):
     return {
         "factor": int(ranked.factor),
         "direction": ranked.direction,
-        "entries": [
-            {"rank": e.rank, "case_id": e.case_id, "score": _clean(e.score)}
-            for e in ranked.entries
-        ],
+        "entries": entries,
         "group_size": None if ranked.group_size is None else int(ranked.group_size),
         "group1_ids": list(ranked.group1_ids),
         "group2_ids": list(ranked.group2_ids),
@@ -167,11 +171,38 @@ def ranking_payload(ranked, model):
     }
 
 
+def ranking_payload(ranked, model):
+    return _ranking_payload(ranked, model, [
+        {"rank": rank, "case_id": cid, "score": _clean(score)}
+        for rank, cid, score in _ranked_rows(ranked)
+    ])
+
+
+# to_json_text puts each top-level key on its own line; a JSON string never
+# holds a raw newline, so this line occurs once.
+_EMPTY_ENTRIES = '\n  "entries": [],\n'
+_ENTRY_JSON = '    {\n      "case_id": %s,\n      "rank": %d,\n      "score": %s\n    }'
+
+
+def ranking_json(ranked, model):
+    """``to_json_text(ranking_payload(ranked, model))``, without building one
+    dict per entry: the entries block is written directly and spliced into
+    the encoding of the rest of the payload."""
+    text = to_json_text(_ranking_payload(ranked, model, []))
+    if not ranked.n_cases:
+        return text
+    head, _, tail = text.partition(_EMPTY_ENTRIES)
+    block = ",\n".join([
+        _ENTRY_JSON % (encode_basestring_ascii(cid), rank,
+                       float.__repr__(score) if math.isfinite(score) else "null")
+        for rank, cid, score in _ranked_rows(ranked)
+    ])
+    return f'{head}\n  "entries": [\n{block}\n  ],\n{tail}'
+
+
 def ranking_csv(ranked):
-    rows = [["rank", "case_id", "score"]]
-    for e in ranked.entries:
-        rows.append([str(e.rank), e.case_id, _num(e.score)])
-    return _csv_text(rows)
+    rows = ((str(rank), cid, _num(score)) for rank, cid, score in _ranked_rows(ranked))
+    return _csv_text(chain([("rank", "case_id", "score")], rows))
 
 
 def ranking_text(ranked, model):
@@ -181,11 +212,11 @@ def ranking_text(ranked, model):
     )
     lines = [f"Ranking on factor {ranked.factor} ({ranked.direction})",
              f"Largest loadings on this factor: {strongest}", ""]
-    width = max(len("Communities"), max(len(e.case_id) for e in ranked.entries))
+    width = max(len("Communities"), max(map(len, ranked.case_ids)))
     lines.append(f"{'Rank':>4} | Communities")
     lines.append("-" * (7 + width))
-    for e in ranked.entries:
-        lines.append(f"{e.rank:>4} | {e.case_id}")
+    lines.extend(f"{rank:>4} | {cid}"
+                 for rank, cid in enumerate(ranked.case_ids, start=1))
     if ranked.group_size:
         lines.append("")
         lines.append(f"Group 1 (ranks 1-{ranked.group_size}): "

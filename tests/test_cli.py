@@ -2,6 +2,7 @@ import argparse
 import csv
 import json
 import os
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -219,6 +220,26 @@ class TestSubcommands:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "latin1.csv: not UTF-8" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cell, message", [
+        # csv refuses a field longer than its limit of 131 072 characters.
+        (b"9" * 140_000, "big.csv: line 90: field larger than field limit"),
+        # Python 3.10's csv refuses any NUL byte; later versions pass it
+        # on, and the cell is not a number.
+        (b"1\x00", "big.csv: line 90: line contains NUL"
+         if sys.version_info < (3, 11) else "non-numeric value '1\\x00' at row 89"),
+    ], ids=["oversized field", "NUL byte"])
+    def test_unreadable_csv_field_exits_2(self, table_csv, tmp_path, capsys,
+                                          cell, message):
+        path = tmp_path / "big.csv"
+        with open(table_csv, "rb") as fh:
+            path.write_bytes(fh.read() + b"extra," + cell + b",1.0" * 33 + b"\n")
+        out = tmp_path / "out"
+        rc = main(["factors", "--input", str(path), "--out-dir", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("id_first", [True, False])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from factorindex.dataset import (IndicatorDataset, load_csv, select_variables,
                                  standardize)
 from factorindex.errors import ValidationError
 
-from conftest import dataset_from, make_table
+from conftest import dataset_from, make_table, write_table_csv
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -105,6 +107,24 @@ class TestLoadCsv:
         path = write(tmp_path, "community,a,b\nX,1,2\nY,3,4\nZ,5,6\n")
         with pytest.raises(ValidationError, match="missing_policy"):
             load_csv(path, missing_policy="impute")
+
+
+    def test_peak_memory_per_cell(self, tmp_path):
+        # The values are kept in one flat float64 buffer, not as one Python
+        # float per cell.
+        n, p = 5000, 12
+        path = write_table_csv(tmp_path / "tall.csv",
+                               [f"tract_{i:05d}" for i in range(n)],
+                               [f"v{j}" for j in range(p)],
+                               np.random.RandomState(5).randn(n, p))
+        tracemalloc.start()
+        try:
+            ds = load_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ds.values.shape == (n, p)
+        assert peak < 40 * n * p
 
 
 class TestDatasetInvariants:

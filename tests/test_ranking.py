@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -121,3 +123,54 @@ class TestSelectGroups:
         assert ranked.group_size == 2
         assert ranked.group1_ids == ("a", "b")
         assert ranked.group2_ids == ("c", "d")
+
+
+class TestRankOrderMatchesPythonSort:
+    """The ranking is Python's ``sorted`` on (score, id), or (-score, id)."""
+
+    @staticmethod
+    def expected(ids, values, direction):
+        sign = 1.0 if direction == "ascending" else -1.0
+        return sorted(zip(ids, values), key=lambda pair: (sign * pair[1], pair[0]))
+
+    @pytest.mark.parametrize("direction", ["ascending", "descending"])
+    def test_ties_signed_zeros_and_trailing_nuls(self, direction):
+        ids = ["b", "a\x00\x00", "a\x00", "a", "\x00", "c", "A", "é", "z", "y"]
+        values = [0.0, -0.0, 0.0, -0.0, 0.0, 1.5, 1.5, -2.0, -2.0, 1e-300]
+        ranked = rank_by_factor(
+            FactorScores(tuple(ids), np.array(values)[:, None]), 1, direction)
+        expected = self.expected(ids, values, direction)
+        assert ranked.case_ids == tuple(cid for cid, _ in expected)
+        # repr tells -0.0 from 0.0: each score stays with its own case.
+        assert [repr(v) for v in ranked.scores.tolist()] == \
+            [repr(v) for _, v in expected]
+
+    @pytest.mark.parametrize("direction", ["ascending", "descending"])
+    def test_random_tables_with_many_ties(self, direction):
+        rng = random.Random(23)
+        ids = sorted({"".join(rng.choices("ab\x00é", k=rng.randint(1, 4)))
+                      for _ in range(400)})
+        rng.shuffle(ids)
+        values = [rng.choice((-1.0, -0.0, 0.0, 0.25, 3.0)) for _ in ids]
+        ranked = rank_by_factor(
+            FactorScores(tuple(ids), np.array(values)[:, None]), 1, direction)
+        expected = self.expected(ids, values, direction)
+        assert ranked.case_ids == tuple(cid for cid, _ in expected)
+        assert [repr(v) for v in ranked.scores.tolist()] == \
+            [repr(v) for _, v in expected]
+
+
+class TestRankedColumns:
+    def test_entries_are_a_view_of_the_columns(self):
+        ranked = rank_by_factor(scores_of({"A": -1.2, "B": 0.5, "C": 0.3}), 1)
+        assert ranked.n_cases == 3
+        assert ranked.case_ids == ("A", "C", "B")
+        assert [(e.rank, e.case_id, e.score) for e in ranked.entries] == [
+            (1, "A", -1.2), (2, "C", 0.3), (3, "B", 0.5)]
+        assert all(type(e.score) is float for e in ranked.entries)
+
+    def test_scores_are_read_only(self):
+        ranked = rank_by_factor(scores_of({"A": -1.2, "B": 0.5, "C": 0.3}), 1)
+        assert ranked.scores.dtype == np.float64
+        with pytest.raises(ValueError):
+            ranked.scores[0] = 0.0

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from factorindex import reports
 from factorindex.dataset import standardize
 from factorindex.factors import build_factor_model, factor_scores
 from factorindex.inference import compare_groups
-from factorindex.ranking import rank_by_factor, with_groups
+from factorindex.ranking import RankedIndex, rank_by_factor, with_groups
 
 from conftest import dataset_from, make_table
 
@@ -103,6 +104,90 @@ class TestRankingExports:
         assert len(payload["top_loadings"]) == 3
         strongest = max(abs(v) for v in np.asarray(model.loadings_rotated)[:, 0])
         assert abs(payload["top_loadings"][0]["loading"]) == pytest.approx(strongest)
+
+
+ADVERSARIAL_IDS = {
+    "comma": "a,b", "quote": 'say "hi"', "cr": "a\rb", "lf": "a\nb",
+    "backslash": "a\\b", "control": "a\x01b", "separator": "a\x1cb",
+    "latin": "café", "astral": "a\U0001F600b", "nul": "a\x00b",
+}
+
+
+def adversarial_ranking(*case_ids, scores=None):
+    ids = ("c1",) + case_ids + ("c3", "c4", "c5")
+    if scores is None:
+        scores = [-2.5, -0.0, 0.0, 1e-300, 0.1 + 0.2, 1e300, 7.0][:len(ids)]
+    ranked = RankedIndex(factor=1, direction="ascending", case_ids=ids,
+                         scores=scores)
+    return with_groups(ranked, 2)
+
+
+def csv_writer_ranking(ranked):
+    """ranking.csv as csv.writer writes it from the entries."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["rank", "case_id", "score"])
+    for e in ranked.entries:
+        writer.writerow([str(e.rank), e.case_id, repr(e.score)])
+    return buf.getvalue()
+
+
+def csv_writer_accepts(field):
+    try:
+        csv.writer(io.StringIO()).writerow([field])
+    except csv.Error:  # Python 3.10 cannot write a NUL without an escapechar
+        return False
+    return True
+
+
+class TestDirectRankingEmitters:
+    """ranking_csv and ranking_json stream the ranking columns; the bytes must
+    be those of csv.writer and of to_json_text(ranking_payload(...))."""
+
+    CASES = [[cid] for cid in ADVERSARIAL_IDS.values()] + [list(ADVERSARIAL_IDS.values())]
+    NAMES = list(ADVERSARIAL_IDS) + ["all"]
+
+    @pytest.mark.parametrize("case_ids", CASES, ids=NAMES)
+    def test_csv_equals_csv_writer(self, case_ids):
+        ranked = adversarial_ranking(*case_ids)
+        if all(map(csv_writer_accepts, case_ids)):
+            assert reports.ranking_csv(ranked) == csv_writer_ranking(ranked)
+        else:
+            with pytest.raises(csv.Error):
+                reports.ranking_csv(ranked)
+
+    @pytest.mark.parametrize("case_ids", CASES, ids=NAMES)
+    def test_json_equals_json_dumps(self, fitted, case_ids):
+        _, model, _, _ = fitted
+        ranked = adversarial_ranking(*case_ids)
+        payload = reports.ranking_payload(ranked, model)
+        assert reports.ranking_json(ranked, model) == reports.to_json_text(payload)
+        assert payload["entries"] == [
+            {"rank": e.rank, "case_id": e.case_id, "score": e.score}
+            for e in ranked.entries]
+
+    def test_non_finite_scores(self, fitted):
+        _, model, _, _ = fitted
+        ranked = adversarial_ranking("c2", scores=[-np.inf, 0.5, np.inf, np.nan, 1.0])
+        text = reports.ranking_json(ranked, model)
+        assert text == reports.to_json_text(reports.ranking_payload(ranked, model))
+        assert [e["score"] for e in json.loads(text)["entries"]] == \
+            [None, 0.5, None, None, 1.0]
+        assert reports.ranking_csv(ranked) == csv_writer_ranking(ranked)
+
+    def test_json_peak_memory_is_a_few_times_the_output(self, fitted):
+        _, model, _, _ = fitted
+        n = 20_000
+        ranked = RankedIndex(factor=1, direction="descending",
+                             case_ids=tuple(f"tract_{i:06d}" for i in range(n)),
+                             scores=np.random.RandomState(31).randn(n))
+        tracemalloc.start()
+        try:
+            text = reports.ranking_json(ranked, model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * len(text)
 
 
 class TestComparisonExports:
