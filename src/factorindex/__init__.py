@@ -17,7 +17,7 @@ from .numkernel import (EigenDecomposition, f_tail_p, invert_spd,
                         t_two_tailed_p)
 from .ranking import RankedIndex, rank_by_factor, select_groups, with_groups
 from .config import PipelineConfig, config_from_dict, load_config
-from .pipeline import PipelineResult, run_compare, run_pipeline
+from .pipeline import PipelineResult, run_pipeline
 
 __all__ = [
     "__version__",
@@ -34,5 +34,5 @@ __all__ = [
     "sym_eigen", "t_quantile", "t_two_tailed_p",
     "RankedIndex", "rank_by_factor", "select_groups", "with_groups",
     "PipelineConfig", "config_from_dict", "load_config",
-    "PipelineResult", "run_compare", "run_pipeline",
+    "PipelineResult", "run_pipeline",
 ]

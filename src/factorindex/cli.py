@@ -17,7 +17,7 @@ from dataclasses import fields
 
 from .config import PipelineConfig, config_from_dict, load_config
 from .errors import NumericalError, ValidationError
-from .pipeline import run_compare, run_pipeline
+from .pipeline import run_pipeline
 
 _COMMANDS = {
     "analyze": "run the full pipeline",
@@ -68,14 +68,8 @@ def main(argv=None):
         return int(exc.code) if exc.code is not None else 0
     try:
         config = _build_config(args)
-        if args.command == "compare":
-            result = run_compare(config)
-        else:
-            result = run_pipeline(config, stage=args.command)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        result = run_pipeline(config, stage=args.command)
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -32,6 +32,7 @@ import sys
 from dataclasses import MISSING, dataclass, field, fields
 
 from .errors import ValidationError
+from .factors import DEFAULT_MAX_SWEEPS, DEFAULT_ROTATION_TOL
 
 FORMATS = ("json", "csv", "text")
 
@@ -128,10 +129,10 @@ class PipelineConfig:
                                    "varimax", "--rotation", _FACTOR)
     kaiser_normalization: bool = _option("rotation.kaiser_normalization", _boolean,
                                          True, "--kaiser-normalization", _FACTOR)
-    rotation_tol: float = _option("rotation.tol", _real(0.0), 1e-12,
+    rotation_tol: float = _option("rotation.tol", _real(0.0), DEFAULT_ROTATION_TOL,
                                   "--rotation-tol", _FACTOR)
-    rotation_max_iter: int = _option("rotation.max_iter", _integer(1), 1000,
-                                     "--rotation-max-iter", _FACTOR)
+    rotation_max_iter: int = _option("rotation.max_iter", _integer(1),
+                                     DEFAULT_MAX_SWEEPS, "--rotation-max-iter", _FACTOR)
     ranking_factor: int = _option("ranking.factor", _integer(1), 1, "--factor", _RANK,
                                   help="1-based factor to rank on")
     ranking_direction: str = _option("ranking.direction",

@@ -18,9 +18,10 @@ from .numkernel import as_matrix, canonical_signs, invert_spd, sym_eigen
 
 # Fixed-point tolerance for the rotation: a sweep whose largest pairwise
 # angle is below this leaves the loadings unchanged to ~1e-12, which keeps
-# re-rotation idempotent well inside the 1e-10 contract.
-_DEFAULT_ROTATION_TOL = 1e-12
-_DEFAULT_MAX_SWEEPS = 1000
+# re-rotation idempotent well inside the 1e-10 contract. Both are also the
+# defaults of the rotation.tol and rotation.max_iter config keys.
+DEFAULT_ROTATION_TOL = 1e-12
+DEFAULT_MAX_SWEEPS = 1000
 
 KMO_LABELS = (
     (0.9, "marvelous"),
@@ -59,9 +60,7 @@ class FactorModel:
     rotation: np.ndarray             # k x k orthogonal
     communalities: np.ndarray        # per variable, from retained factors
     variance_explained: float        # sum of first k eigenvalues / p
-    kmo: float
-    kmo_per_variable: np.ndarray
-    kmo_label: str
+    kmo: KmoResult
     score_coefficients: np.ndarray   # p x k
     rotation_method: str
     rotation_converged: bool
@@ -171,8 +170,8 @@ def _canonicalize_columns(loadings, rotation):
     return loadings * signs, rotation[:, order] * signs
 
 
-def varimax(loadings, kaiser_normalize=True, tol=_DEFAULT_ROTATION_TOL,
-            max_iter=_DEFAULT_MAX_SWEEPS):
+def varimax(loadings, kaiser_normalize=True, tol=DEFAULT_ROTATION_TOL,
+            max_iter=DEFAULT_MAX_SWEEPS):
     """Varimax rotation by pairwise plane rotations in fixed lexicographic order.
 
     Each pair (i, j) gets the exact single-angle optimum of the pairwise
@@ -201,7 +200,7 @@ def varimax(loadings, kaiser_normalize=True, tol=_DEFAULT_ROTATION_TOL,
         return VarimaxResult(out, rotation, (_varimax_criterion(out),), True, 0)
 
     h = np.sqrt(np.sum(a * a, axis=1))
-    scale = np.where(h > _DEFAULT_ROTATION_TOL, h, 1.0) if kaiser_normalize else np.ones(p)
+    scale = np.where(h > DEFAULT_ROTATION_TOL, h, 1.0) if kaiser_normalize else np.ones(p)
     b = a / scale[:, None]
 
     history = [_varimax_criterion(b)]
@@ -284,10 +283,25 @@ def factor_scores(z, w):
     return FactorScores(case_ids=z.case_ids, scores=scores)
 
 
+def _singular_cause(r, z):
+    """Why R is singular, if it has fewer cases than variables or two
+    indicators that are one up to rounding (|r| >= 1 - 1e-12); else None."""
+    n, p = z.values.shape
+    if n <= p:
+        return (f"the correlation matrix is singular: {n} cases for {p} "
+                "variables; add cases or select fewer variables with --variables")
+    rows, cols = np.nonzero(np.triu(np.abs(r) >= 1.0 - 1e-12, 1))
+    if rows.size:
+        first, second = z.indicator_names[rows[0]], z.indicator_names[cols[0]]
+        return (f"the correlation matrix is singular: {first} and {second} are "
+                "collinear (|r| >= 1 - 1e-12); drop one of them")
+    return None
+
+
 def build_factor_model(z, retention_rule="kaiser", retention_k=None,
                        rotation_method="varimax", kaiser_normalize=True,
-                       rotation_tol=_DEFAULT_ROTATION_TOL,
-                       rotation_max_iter=_DEFAULT_MAX_SWEEPS):
+                       rotation_tol=DEFAULT_ROTATION_TOL,
+                       rotation_max_iter=DEFAULT_MAX_SWEEPS):
     """Run extraction, rotation, diagnostics, and score coefficients in order."""
     if rotation_method not in ("varimax", "none"):
         raise ValidationError(f"unknown rotation method {rotation_method!r}")
@@ -305,7 +319,11 @@ def build_factor_model(z, retention_rule="kaiser", retention_k=None,
         rotation_converged = True
     communalities = np.sum(rotated * rotated, axis=1)
     variance_explained = float(np.sum(eigenvalues[:retained]) / r.shape[0])
-    adequacy = with_stage("diagnostics", kmo, r)
+    try:
+        adequacy = kmo(r)
+    except NumericalError as exc:
+        message = _singular_cause(r, z) or str(exc)
+        raise NumericalError(message, stage="diagnostics") from exc
     w = with_stage("scoring", score_coefficients, r, rotated)
     for arr in (rotated, rotation, communalities, w):
         arr.setflags(write=False)
@@ -318,9 +336,7 @@ def build_factor_model(z, retention_rule="kaiser", retention_k=None,
         rotation=rotation,
         communalities=communalities,
         variance_explained=variance_explained,
-        kmo=adequacy.overall,
-        kmo_per_variable=adequacy.per_variable,
-        kmo_label=adequacy.label,
+        kmo=adequacy,
         score_coefficients=w,
         rotation_method=rotation_method,
         rotation_converged=rotation_converged,

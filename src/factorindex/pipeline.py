@@ -1,9 +1,10 @@
 """End-to-end orchestration: load -> factor model -> ranking -> comparison.
 
-Each step can also stop early (``factors``, ``rank``) or start from
-explicit groups (``compare``). All report files are written only after
-every computation has succeeded, so a failed run leaves no partial
-outputs. Outputs are byte-deterministic for identical inputs and config.
+A run can stop early (``factors``, ``rank``) or compare explicit groups
+without a factor model (``compare``). Report files are written only after
+every computation has succeeded, so a run that fails in a computation
+leaves no outputs; a write that fails part-way leaves the files written
+before it. Outputs are byte-deterministic for identical inputs and config.
 """
 
 import os
@@ -20,7 +21,7 @@ from .factors import build_factor_model, factor_scores
 from .inference import compare_groups
 from .ranking import rank_by_factor, with_groups
 
-STAGES = ("factors", "rank", "analyze")
+STAGES = ("factors", "rank", "analyze", "compare")
 
 
 @dataclass(frozen=True)
@@ -32,38 +33,27 @@ class PipelineResult:
     files: tuple
 
 
-def _load_dataset(config):
-    ds = load_csv(config.input, id_column=config.id_column,
-                  missing_policy=config.missing_policy)
-    if config.variables is not None:
-        ds = select_variables(ds, config.variables)
-    return ds
-
-
-def _compare(config, ds, group1, group2):
-    return with_stage(
-        "comparison", compare_groups, ds, group1, group2,
-        variables=config.compare_variables,
-        alpha=config.alpha,
-        alpha_levene=config.alpha_levene,
-        ci_level=config.ci_level,
-        standardize_scope=config.standardize_scope,
-        levene_center=config.levene_center,
-    )
-
-
 def run_pipeline(config, stage="analyze"):
     """Run the pipeline up to ``stage`` and write the report files.
 
     ``stage`` is one of ``"factors"`` (stop after the factor model),
-    ``"rank"`` (through ranking), or ``"analyze"`` (full run including the
-    group comparison).
+    ``"rank"`` (through ranking), ``"analyze"`` (full run including the
+    group comparison) or ``"compare"`` (compare the config's two explicit
+    groups, skipping extraction and ranking).
     """
     if stage not in STAGES:
         raise ValidationError(f"unknown pipeline stage {stage!r}")
-    ds = _load_dataset(config)
+    ranks = stage in ("rank", "analyze")
+    groups = (config.compare_group1, config.compare_group2)
+    if stage == "compare" and not all(groups):
+        raise ValidationError("compare requires comparison.group1 and "
+                              "comparison.group2 id lists")
+    ds = load_csv(config.input, id_column=config.id_column,
+                  missing_policy=config.missing_policy)
+    if config.variables is not None:
+        ds = select_variables(ds, config.variables)
 
-    if stage in ("rank", "analyze"):
+    if ranks:
         bound = ds.n_cases // 2
         if not 1 <= config.ranking_k <= bound:
             raise ValidationError(
@@ -71,21 +61,20 @@ def run_pipeline(config, stage="analyze"):
                 f"1 <= k <= floor(n/2) = {bound} (n = {ds.n_cases})"
             )
 
-    z = with_stage("standardize", standardize, ds)
-    model = build_factor_model(
-        z,
-        retention_rule=config.retention_rule,
-        retention_k=config.retention_k,
-        rotation_method=config.rotation_method,
-        kaiser_normalize=config.kaiser_normalization,
-        rotation_tol=config.rotation_tol,
-        rotation_max_iter=config.rotation_max_iter,
-    )
-    artifacts = {"factor_model": model}
+    model = ranked = comparison = None
+    if stage != "compare":
+        z = with_stage("standardize", standardize, ds)
+        model = build_factor_model(
+            z,
+            retention_rule=config.retention_rule,
+            retention_k=config.retention_k,
+            rotation_method=config.rotation_method,
+            kaiser_normalize=config.kaiser_normalization,
+            rotation_tol=config.rotation_tol,
+            rotation_max_iter=config.rotation_max_iter,
+        )
 
-    ranked = None
-    comparison = None
-    if stage in ("rank", "analyze"):
+    if ranks:
         if config.ranking_factor > model.retained:
             raise ValidationError(
                 f"ranking.factor={config.ranking_factor} exceeds the "
@@ -95,40 +84,29 @@ def run_pipeline(config, stage="analyze"):
         ranked = rank_by_factor(scores, config.ranking_factor,
                                 config.ranking_direction)
         ranked = with_groups(ranked, config.ranking_k)
-        artifacts["ranking"] = ranked
+        groups = (ranked.group1_ids, ranked.group2_ids)
 
-    if stage == "analyze":
-        comparison = _compare(config, ds, ranked.group1_ids, ranked.group2_ids)
-        artifacts["comparison"] = comparison
+    if stage in ("analyze", "compare"):
+        comparison = with_stage(
+            "comparison", compare_groups, ds, *groups,
+            variables=config.compare_variables, alpha=config.alpha,
+            alpha_levene=config.alpha_levene, ci_level=config.ci_level,
+            standardize_scope=config.standardize_scope,
+            levene_center=config.levene_center)
 
-    files = _write_outputs(config, artifacts)
+    files = _write_outputs(config, model, ranked, comparison)
     return PipelineResult(config=config, model=model, ranked=ranked,
                           comparison=comparison, files=tuple(files))
 
 
-def run_compare(config):
-    """Compare two explicitly given groups, skipping extraction and ranking."""
-    if not config.compare_group1 or not config.compare_group2:
-        raise ValidationError(
-            "compare requires comparison.group1 and comparison.group2 id lists"
-        )
-    ds = _load_dataset(config)
-    comparison = _compare(config, ds, config.compare_group1, config.compare_group2)
-    files = _write_outputs(config, {"comparison": comparison})
-    return PipelineResult(config=config, model=None, ranked=None,
-                          comparison=comparison, files=tuple(files))
-
-
-def _write_outputs(config, artifacts):
+def _write_outputs(config, model, ranked, comparison):
     out_dir = config.out_dir
     os.makedirs(out_dir, exist_ok=True)
     staged = []  # (filename, text)
 
-    model = artifacts.get("factor_model")
     if model is not None:
         if "json" in config.formats:
-            staged.append(("factor_model.json",
-                           reports.to_json_text(reports.factor_model_payload(model))))
+            staged.append(("factor_model.json", reports.record_json(model)))
         if "csv" in config.formats:
             staged.append(("factor_model.csv", reports.loadings_csv(model)))
             staged.append(("factor_model_eigenvalues.csv",
@@ -140,7 +118,6 @@ def _write_outputs(config, artifacts):
         if "text" in config.formats:
             staged.append(("factor_model.txt", reports.factor_model_text(model)))
 
-    ranked = artifacts.get("ranking")
     if ranked is not None:
         if "json" in config.formats:
             staged.append(("ranking.json", reports.ranking_json(ranked, model)))
@@ -149,11 +126,9 @@ def _write_outputs(config, artifacts):
         if "text" in config.formats:
             staged.append(("ranking.txt", reports.ranking_text(ranked, model)))
 
-    comparison = artifacts.get("comparison")
     if comparison is not None:
         if "json" in config.formats:
-            staged.append(("comparison.json",
-                           reports.to_json_text(reports.comparison_payload(comparison))))
+            staged.append(("comparison.json", reports.record_json(comparison)))
         if "csv" in config.formats:
             staged.append(("comparison.csv", reports.comparison_csv(comparison)))
         if "text" in config.formats:

@@ -107,6 +107,34 @@ class TestAnalyze:
         assert "Traceback" not in err
         assert not (tmp_path / "z").exists()
 
+    def singular_run(self, tmp_path, capsys, ids, names, values):
+        path = write_table_csv(tmp_path / "singular.csv", ids, names, values)
+        rc = main(["analyze", "--input", path, "--out-dir", str(tmp_path / "s")])
+        assert rc == 3
+        assert not (tmp_path / "s").exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("numerical failure in diagnostics stage: ")
+        return err
+
+    def test_fewer_cases_than_variables_names_both_counts(self, tmp_path, capsys):
+        err = self.singular_run(tmp_path, capsys, *make_table(n=30, p=34))
+        assert "30 cases for 34 variables" in err and "--variables" in err
+        assert "smallest eigenvalue" not in err
+
+    def test_duplicated_column_names_the_pair(self, tmp_path, capsys):
+        ids, names, values = make_table()
+        values = np.column_stack([values, values[:, 3]])
+        err = self.singular_run(tmp_path, capsys, ids, names + ("Copy03",), values)
+        assert "Ind03 and Copy03 are collinear" in err
+        assert "smallest eigenvalue" not in err
+
+    def test_other_singular_cause_keeps_the_eigenvalue(self, tmp_path, capsys):
+        ids, names, values = make_table()
+        values = np.column_stack([values, values[:, 0] + values[:, 1]])
+        err = self.singular_run(tmp_path, capsys, ids, names + ("Sum01",), values)
+        assert "smallest eigenvalue" in err
+
     def test_missing_input_exits_2(self, capsys):
         assert main(["analyze"]) == 2
         assert "input" in capsys.readouterr().err

@@ -290,7 +290,7 @@ class TestBuildFactorModel:
         assert model.eigenvalues.sum() == pytest.approx(p, abs=1e-9)
         assert model.variance_explained == pytest.approx(
             model.eigenvalues[:k].sum() / p)
-        assert 0.0 <= model.kmo <= 1.0
+        assert 0.0 <= model.kmo.overall <= 1.0
 
     def test_deterministic(self, synthetic_dataset):
         z = standardize(synthetic_dataset)

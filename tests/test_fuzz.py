@@ -5,7 +5,8 @@ run through one subcommand with generated (sometimes bad) flags. The
 contract: ``cli.main`` returns 0, 2 or 3, raises nothing, and leaves no
 output directory behind after a non-zero exit. Cases that the program
 once accepted (a blank case id, ``retention.k`` < 1 under the Kaiser rule,
-an id repeated within a compare group) must exit 2 for that reason.
+an id repeated within a compare group) must exit 2 for that reason, and
+a numerical failure must name its cause rather than a bare eigenvalue.
 
 The generator is deterministic in its seed and needs no hypothesis
 database; :func:`fuzz_case` can also be called on its own to replay the
@@ -212,5 +213,8 @@ def test_exit_code_contract_under_fuzzing(tmp_path, capsys):
         assert os.path.isdir(out) == (rc == 0), (argv, rc, err)
         if expected is not None:
             assert rc == 2 and expected in err, (argv, rc, err)
+        if rc == 3:
+            # Every singular R in the corpus has a named cause.
+            assert "smallest eigenvalue" not in err, (argv, err)
     # The corpus reaches every outcome, not just the input checks.
     assert min(exits.values()) >= 20, exits

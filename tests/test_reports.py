@@ -56,11 +56,10 @@ class TestFactorModelExports:
 
     def test_json_payload_fields(self, fitted):
         _, model, _, _ = fitted
-        payload = reports.factor_model_payload(model)
-        text = reports.to_json_text(payload)
+        text = reports.record_json(model)
         parsed = json.loads(text)
         assert parsed["retained"] == model.retained
-        assert parsed["kmo"]["label"] == model.kmo_label
+        assert parsed["kmo"]["label"] == model.kmo.label
         assert len(parsed["loadings_rotated"]) == len(model.indicator_names)
         assert parsed["variance_explained"] == pytest.approx(
             model.variance_explained)
@@ -202,7 +201,7 @@ class TestComparisonExports:
 
     def test_json_structure(self, fitted):
         _, _, _, report = fitted
-        parsed = json.loads(reports.to_json_text(reports.comparison_payload(report)))
+        parsed = json.loads(reports.record_json(report))
         assert len(parsed["variables"]) == len(report.variables)
         rec = parsed["variables"][0]
         assert set(rec) >= {"name", "group1", "group2", "levene", "pooled",
@@ -223,7 +222,7 @@ class TestComparisonExports:
         values[:, 0] = 3.0  # constant -> degenerate record
         broken = dataset_from(ds.case_ids, ds.indicator_names, values)
         report = compare_groups(broken, ds.case_ids[:10], ds.case_ids[-10:])
-        text = reports.to_json_text(reports.comparison_payload(report))
+        text = reports.record_json(report)
         assert "NaN" not in text and "Infinity" not in text
         parsed = json.loads(text)
         assert parsed["variables"][0]["degenerate"] is True
@@ -231,8 +230,43 @@ class TestComparisonExports:
 
     def test_serialization_deterministic(self, fitted):
         _, model, ranked, report = fitted
-        assert reports.to_json_text(reports.factor_model_payload(model)) == \
-            reports.to_json_text(reports.factor_model_payload(model))
+        assert reports.record_json(model) == \
+            reports.record_json(model)
         assert reports.comparison_csv(report) == reports.comparison_csv(report)
         assert reports.ranking_text(ranked, model) == \
             reports.ranking_text(ranked, model)
+
+
+class TestJsonSchemas:
+    """Every key set of the record-shaped JSON artifacts is the README schema,
+    exactly: a new record field must be documented before it is written."""
+
+    def test_factor_model_keys(self, fitted):
+        _, model, _, _ = fitted
+        parsed = json.loads(reports.record_json(model))
+        assert set(parsed) == {
+            "indicator_names", "eigenvalues", "retained", "variance_explained",
+            "kmo", "loadings_unrotated", "loadings_rotated", "rotation",
+            "communalities", "score_coefficients", "rotation_method",
+            "rotation_converged",
+        }
+        assert set(parsed["kmo"]) == {"overall", "label", "per_variable"}
+
+    def test_comparison_keys(self, fitted):
+        _, _, _, report = fitted
+        parsed = json.loads(reports.record_json(report))
+        assert set(parsed) == {
+            "group1_ids", "group2_ids", "alpha", "alpha_levene", "ci_level",
+            "standardize_scope", "levene_center", "variables",
+        }
+        ttest = {"t", "df", "p_two_tailed", "mean_difference", "se_difference",
+                 "ci_low", "ci_high", "level", "variant", "degenerate"}
+        for rec in parsed["variables"]:
+            assert set(rec) == {
+                "name", "group1", "group2", "levene", "pooled", "welch",
+                "reported_variant", "significant", "significant_at_05",
+                "significant_at_10", "degenerate", "note",
+            }
+            assert set(rec["group1"]) == set(rec["group2"]) == {"n", "mean", "sd", "sem"}
+            assert set(rec["levene"]) == {"F", "df1", "df2", "p", "center"}
+            assert set(rec["pooled"]) == set(rec["welch"]) == ttest
