@@ -15,7 +15,7 @@ from .inference import (GroupComparisonReport, GroupDescriptives, LeveneResult,
 from .numkernel import (EigenDecomposition, f_tail_p, invert_spd,
                         reg_incomplete_beta, sym_eigen, t_quantile,
                         t_two_tailed_p)
-from .ranking import RankedIndex, rank_by_factor, select_groups, with_groups
+from .ranking import RankedIndex, rank_by_factor, with_groups
 from .config import PipelineConfig, config_from_dict, load_config
 from .pipeline import PipelineResult, run_pipeline
 
@@ -32,7 +32,7 @@ __all__ = [
     "t_test_welch",
     "EigenDecomposition", "f_tail_p", "invert_spd", "reg_incomplete_beta",
     "sym_eigen", "t_quantile", "t_two_tailed_p",
-    "RankedIndex", "rank_by_factor", "select_groups", "with_groups",
+    "RankedIndex", "rank_by_factor", "with_groups",
     "PipelineConfig", "config_from_dict", "load_config",
     "PipelineResult", "run_pipeline",
 ]

@@ -13,6 +13,7 @@ file. Exit codes: 0 success, 2 invalid input/config, 3 numerical failure.
 
 import argparse
 import sys
+import warnings
 from dataclasses import fields
 
 from .config import PipelineConfig, config_from_dict, load_config
@@ -55,8 +56,6 @@ def _build_config(args):
                  if key not in _NON_CONFIG_ARGS}
     if args.config:
         return load_config(args.config, overrides)
-    if not overrides.get("input"):
-        raise ValidationError("an input CSV is required (--input or a config file)")
     return config_from_dict({}, overrides)
 
 
@@ -66,16 +65,23 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
-    try:
-        config = _build_config(args)
-        result = run_pipeline(config, stage=args.command)
-    except (ValidationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        stage = exc.stage or "numeric"
-        print(f"numerical failure in {stage} stage: {exc}", file=sys.stderr)
-        return 3
+    with warnings.catch_warnings():
+        # Each notice is one stderr line, whatever the warning filters.
+        warnings.simplefilter("always")
+        formatwarning = warnings.formatwarning
+        warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
+        try:
+            config = _build_config(args)
+            result = run_pipeline(config, stage=args.command)
+        except (ValidationError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except NumericalError as exc:
+            stage = exc.stage or "numeric"
+            print(f"numerical failure in {stage} stage: {exc}", file=sys.stderr)
+            return 3
+        finally:
+            warnings.formatwarning = formatwarning
     for path in result.files:
         print(path)
     return 0

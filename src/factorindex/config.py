@@ -29,7 +29,7 @@ import json
 import math
 import numbers
 import sys
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 from .errors import ValidationError
 from .factors import DEFAULT_MAX_SWEEPS, DEFAULT_ROTATION_TOL
@@ -113,7 +113,7 @@ def _option(key, check, default=None, flag=None, commands=_ALL, help=None):
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    input: str = _option("input", _string, MISSING, "--input",
+    input: str = _option("input", _string, None, "--input",
                          help="input CSV (cases x indicators)")
     id_column: str = _option("id_column", _string, None, "--id-column",
                              help="identifier column name (default: first column)")
@@ -167,7 +167,8 @@ class PipelineConfig:
 
     def __post_init__(self):
         if not self.input:
-            raise ValidationError("config requires an input path")
+            raise ValidationError("an input CSV is required: --input or the "
+                                  "config key input")
         for f in fields(self):
             value = getattr(self, f.name)
             if value is not None or f.default is not None:
@@ -241,8 +242,6 @@ def config_from_dict(document, overrides=None):
                 flat[key] = value
     # Drop explicit nulls so dataclass defaults apply.
     flat = {k: v for k, v in flat.items() if v is not None}
-    if "input" not in flat:
-        raise ValidationError("config requires an input path")
     return PipelineConfig(**flat)
 
 

@@ -226,6 +226,7 @@ def select_variables(ds, names):
     return IndicatorDataset(
         case_ids=ds.case_ids,
         indicator_names=tuple(names),
+        # C order, unlike fancy-indexed columns; the bytes depend on it.
         values=ds.values[:, columns].copy(),
     )
 

@@ -308,13 +308,14 @@ def build_factor_model(z, retention_rule="kaiser", retention_k=None,
     r = with_stage("correlation", correlation_matrix, z)
     eigenvalues, unrotated, retained = with_stage(
         "extraction", extract_pca, r, rule=retention_rule, k=retention_k)
-    if rotation_method == "varimax" and retained > 1:
+    if rotation_method == "varimax":
         rot = with_stage("rotation", varimax, unrotated,
                       kaiser_normalize=kaiser_normalize,
                       tol=rotation_tol, max_iter=rotation_max_iter)
         rotated, rotation = rot.loadings, rot.rotation
         rotation_converged = rot.converged
     else:
+        # C order, unlike LAPACK's eigenvectors; the bytes depend on it.
         rotated, rotation = unrotated.copy(), np.eye(retained)
         rotation_converged = True
     communalities = np.sum(rotated * rotated, axis=1)
@@ -325,7 +326,7 @@ def build_factor_model(z, retention_rule="kaiser", retention_k=None,
         message = _singular_cause(r, z) or str(exc)
         raise NumericalError(message, stage="diagnostics") from exc
     w = with_stage("scoring", score_coefficients, r, rotated)
-    for arr in (rotated, rotation, communalities, w):
+    for arr in (unrotated, rotated, rotation, communalities, w):
         arr.setflags(write=False)
     return FactorModel(
         indicator_names=z.indicator_names,

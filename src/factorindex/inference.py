@@ -231,9 +231,8 @@ def compare_groups(ds, group1_ids, group2_ids, variables=None, alpha=0.05,
         try:
             if scope_sds[j] <= 1e-12:
                 raise DegenerateDataError("constant within the standardization scope")
-            z = (raw[:, j] - scope_means[j]) / scope_sds[j]
-            z1 = z[rows1]
-            z2 = z[rows2]
+            z1 = (raw[rows1, j] - scope_means[j]) / scope_sds[j]
+            z2 = (raw[rows2, j] - scope_means[j]) / scope_sds[j]
             levene = levene_test(z1, z2, center=levene_center)
             pooled = t_test_pooled(z1, z2, level=ci_level)
             welch = t_test_welch(z1, z2, level=ci_level)

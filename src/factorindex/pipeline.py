@@ -19,7 +19,7 @@ from .dataset import load_csv, select_variables, standardize
 from .errors import ValidationError, with_stage
 from .factors import build_factor_model, factor_scores
 from .inference import compare_groups
-from .ranking import rank_by_factor, with_groups
+from .ranking import check_group_size, rank_by_factor, with_groups
 
 STAGES = ("factors", "rank", "analyze", "compare")
 
@@ -54,12 +54,8 @@ def run_pipeline(config, stage="analyze"):
         ds = select_variables(ds, config.variables)
 
     if ranks:
-        bound = ds.n_cases // 2
-        if not 1 <= config.ranking_k <= bound:
-            raise ValidationError(
-                f"ranking k={config.ranking_k} out of range: need "
-                f"1 <= k <= floor(n/2) = {bound} (n = {ds.n_cases})"
-            )
+        # Before the factor model, so a singular R cannot mask a bad k.
+        check_group_size(config.ranking_k, ds.n_cases)
 
     model = ranked = comparison = None
     if stage != "compare":
@@ -75,11 +71,6 @@ def run_pipeline(config, stage="analyze"):
         )
 
     if ranks:
-        if config.ranking_factor > model.retained:
-            raise ValidationError(
-                f"ranking.factor={config.ranking_factor} exceeds the "
-                f"{model.retained} retained factor(s)"
-            )
         scores = with_stage("scoring", factor_scores, z, model.score_coefficients)
         ranked = rank_by_factor(scores, config.ranking_factor,
                                 config.ranking_direction)

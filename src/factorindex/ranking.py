@@ -22,7 +22,7 @@ class RankedIndex:
     ``factor`` is the 1-based column that was ranked. ``case_ids`` and
     ``scores`` are columns in rank order: rank ``r`` is ``case_ids[r - 1]``
     with score ``scores[r - 1]``. Group 1 holds ranks 1..k, group 2 ranks
-    n-k+1..n; both are empty until :func:`select_groups` is applied.
+    n-k+1..n; both are empty until :func:`with_groups` is applied.
     """
 
     factor: int
@@ -88,22 +88,19 @@ def rank_by_factor(scores, factor, direction="ascending"):
                        scores=column[order])
 
 
-def select_groups(ranked, k=10):
-    """First-k and last-k case ids of a ranked index.
-
-    ``k`` must satisfy 1 <= k <= floor(n/2) so the groups cannot overlap.
-    """
-    n = ranked.n_cases
+def check_group_size(k, n):
+    """Require 1 <= k <= floor(n/2), so the end groups of n cases cannot overlap."""
     bound = n // 2
     if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= bound:
         raise ValidationError(
             f"group size k={k!r} out of range: need 1 <= k <= floor(n/2) = {bound} "
             f"(n = {n})"
         )
-    return ranked.case_ids[:k], ranked.case_ids[n - k:]
 
 
 def with_groups(ranked, k=10):
-    """A copy of ``ranked`` with the end groups of size ``k`` filled in."""
-    group1, group2 = select_groups(ranked, k)
-    return replace(ranked, group_size=k, group1_ids=group1, group2_ids=group2)
+    """A copy of ``ranked`` with its first-k and last-k cases as the groups."""
+    n = ranked.n_cases
+    check_group_size(k, n)
+    return replace(ranked, group_size=k, group1_ids=ranked.case_ids[:k],
+                   group2_ids=ranked.case_ids[n - k:])

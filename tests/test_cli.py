@@ -2,12 +2,15 @@ import argparse
 import csv
 import json
 import os
+import random
+import subprocess
 import sys
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import factorindex
 from factorindex import config as config_module
 from factorindex.cli import build_parser, main
 from factorindex.config import PipelineConfig, config_from_dict
@@ -134,6 +137,36 @@ class TestAnalyze:
         values = np.column_stack([values, values[:, 0] + values[:, 1]])
         err = self.singular_run(tmp_path, capsys, ids, names + ("Sum01",), values)
         assert "smallest eigenvalue" in err
+
+    def test_factor_beyond_retained_count_exits_2(self, table_csv, tmp_path,
+                                                  capsys):
+        out = tmp_path / "out"
+        rc = main(["analyze", "--input", table_csv, "--out-dir", str(out),
+                   "--retention", "fixed", "--retention-k", "2", "--factor", "3"])
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            "error: factor selector 3 out of range: model retains 2\n"
+        assert not out.exists()
+
+    def test_variables_match_a_table_of_those_columns(self, tmp_path):
+        ids, names, values = make_table()
+        order = list(range(len(names)))
+        random.Random(5).shuffle(order)
+        chosen = order[:12]
+        full = write_table_csv(tmp_path / "full.csv", ids, names, values)
+        subset = write_table_csv(tmp_path / "subset.csv", ids,
+                                 [names[j] for j in chosen], values[:, chosen])
+        formats = ["--format", "json", "--format", "csv", "--format", "text"]
+        assert main(["analyze", "--input", full, "--out-dir", str(tmp_path / "a"),
+                     "--variables", ",".join(names[j] for j in chosen)]
+                    + formats) == 0
+        assert main(["analyze", "--input", subset, "--out-dir", str(tmp_path / "b")]
+                    + formats) == 0
+        artifacts = sorted(set(os.listdir(tmp_path / "a")) - {"run_summary.json"})
+        assert len(artifacts) == 12
+        for name in artifacts:
+            assert (tmp_path / "a" / name).read_bytes() == \
+                (tmp_path / "b" / name).read_bytes(), name
 
     def test_missing_input_exits_2(self, capsys):
         assert main(["analyze"]) == 2
@@ -321,6 +354,43 @@ class TestSubcommands:
         assert rc == 0
 
 
+class TestNotices:
+    @pytest.mark.parametrize("filters", ["error", "ignore"])
+    @pytest.mark.parametrize("flags, notice", [
+        (["--missing-policy", "listwise"],
+         "listwise deletion dropped 2 case(s): Community_04, Community_41"),
+        (["--rotation-max-iter", "1"],
+         "varimax did not reach a fixed point in 1 sweeps; returning best iterate"),
+    ], ids=["listwise", "rotation"])
+    def test_each_notice_is_one_line_under_any_filter(self, tmp_path, filters,
+                                                      flags, notice):
+        ids, names, values = make_table()
+        if "listwise" in flags:
+            values[[3, 40], 2] = np.nan
+        path = write_table_csv(tmp_path / "table.csv", ids, names, values)
+        src = os.path.dirname(os.path.dirname(factorindex.__file__))
+        env = dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS=filters)
+        proc = subprocess.run(
+            [sys.executable, "-m", "factorindex", "analyze", "--input", path,
+             "--out-dir", str(tmp_path / "out")] + flags,
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == f"warning: {notice}\n"
+
+    def test_unconverged_rotation_is_named_in_the_text_report(self, table_csv,
+                                                              tmp_path):
+        out = tmp_path / "out"
+        with pytest.warns(UserWarning, match="fixed point"):
+            rc = main(["factors", "--input", table_csv, "--out-dir", str(out),
+                       "--format", "text", "--format", "json",
+                       "--rotation-max-iter", "1"])
+        assert rc == 0
+        text = (out / "factor_model.txt").read_text()
+        assert "WARNING: rotation did not converge" in text
+        assert json.loads((out / "factor_model.json").read_text())[
+            "rotation_converged"] is False
+
+
 class TestConfigFile:
     def test_config_driven_run(self, table_csv, tmp_path):
         out = tmp_path / "out"
@@ -385,6 +455,10 @@ class TestConfigFile:
         ({"comparison": {"alpha": "0.1"}}, "comparison.alpha must be a finite number"),
         ({"rotation": {"tol": "1e-9"}}, "rotation.tol must be a finite number"),
         ({"rotation": {"tol": float("nan")}}, "rotation.tol must be a finite number"),
+        ({"rotation": 5}, "config section 'rotation' must be an object"),
+        ({"rotation": {"foo": 1}}, "unknown config key rotation.'foo'"),
+        ({"output": {"formats": []}}, "output.formats must not be empty"),
+        ({"input": ""}, "an input CSV is required"),
     ])
     def test_wrongly_typed_value_exits_2(self, table_csv, tmp_path, capsys,
                                          document, message):
@@ -396,6 +470,17 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("document, message", [
+        ([1, 2], "config document must be a JSON object"),
+        ({"ranking": {"k": 3}},
+         "an input CSV is required: --input or the config key input"),
+    ])
+    def test_unusable_document_exits_2(self, tmp_path, capsys, document, message):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(document))
+        assert main(["analyze", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_retention_k_below_1_exits_2_under_kaiser(self, table_csv, tmp_path,
                                                       capsys):

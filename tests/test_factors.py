@@ -307,6 +307,19 @@ class TestBuildFactorModel:
                                       model.loadings_unrotated)
         np.testing.assert_array_equal(model.rotation, np.eye(model.retained))
 
+    @pytest.mark.parametrize("options", [
+        {}, {"rotation_method": "none"},
+        {"retention_rule": "fixed", "retention_k": 1},
+    ], ids=["varimax", "none", "one factor"])
+    def test_every_array_is_read_only(self, synthetic_dataset, options):
+        model = build_factor_model(standardize(synthetic_dataset), **options)
+        arrays = {name: value
+                  for record in (model, model.kmo)
+                  for name, value in vars(record).items()
+                  if isinstance(value, np.ndarray)}
+        assert "loadings_unrotated" in arrays and "per_variable" in arrays
+        assert [name for name, a in arrays.items() if a.flags.writeable] == []
+
     def test_planted_structure_recovery(self):
         gen, x = planted_structure(seed=2024)
         ds = dataset_from([f"c{i}" for i in range(x.shape[0])],

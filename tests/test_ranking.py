@@ -5,7 +5,7 @@ import pytest
 
 from factorindex.errors import ValidationError
 from factorindex.factors import FactorScores
-from factorindex.ranking import (rank_by_factor, select_groups, with_groups)
+from factorindex.ranking import rank_by_factor, with_groups
 
 
 def scores_of(mapping, n_factors=1):
@@ -95,9 +95,9 @@ class TestSelectGroups:
         scores = FactorScores(tuple(f"c{i:02d}" for i in range(88)),
                               rng.randn(88)[:, None])
         ranked = rank_by_factor(scores, 1)
-        group1, group2 = select_groups(ranked, 10)
-        assert group1 == tuple(e.case_id for e in ranked.entries[:10])
-        assert group2 == tuple(e.case_id for e in ranked.entries[78:88])
+        grouped = with_groups(ranked, 10)
+        assert grouped.group1_ids == tuple(e.case_id for e in ranked.entries[:10])
+        assert grouped.group2_ids == tuple(e.case_id for e in ranked.entries[78:88])
         assert {e.rank for e in ranked.entries[78:88]} == set(range(79, 89))
 
     def test_boundary_partition(self):
@@ -105,17 +105,17 @@ class TestSelectGroups:
         scores = FactorScores(tuple(f"c{i:02d}" for i in range(20)),
                               rng.randn(20)[:, None])
         ranked = rank_by_factor(scores, 1)
-        group1, group2 = select_groups(ranked, 10)
-        assert sorted(group1 + group2) == sorted(scores.case_ids)
-        assert not set(group1) & set(group2)
+        grouped = with_groups(ranked, 10)
+        assert sorted(grouped.group1_ids + grouped.group2_ids) == sorted(scores.case_ids)
+        assert not set(grouped.group1_ids) & set(grouped.group2_ids)
 
     def test_k_out_of_range(self):
         scores = scores_of({"a": 1.0, "b": 2.0, "c": 3.0, "d": 4.0, "e": 5.0})
         ranked = rank_by_factor(scores, 1)
         with pytest.raises(ValidationError, match=r"floor\(n/2\) = 2.*n = 5"):
-            select_groups(ranked, 3)
+            with_groups(ranked, 3)
         with pytest.raises(ValidationError):
-            select_groups(ranked, 0)
+            with_groups(ranked, 0)
 
     def test_with_groups_fills_fields(self):
         scores = scores_of({"a": 1.0, "b": 2.0, "c": 3.0, "d": 4.0})
