@@ -166,7 +166,7 @@ class PipelineConfig:
                              "--format", help="output format; repeat for several")
 
     def __post_init__(self):
-        if not self.input:
+        if self.input is None or self.input == "":
             raise ValidationError("an input CSV is required: --input or the "
                                   "config key input")
         for f in fields(self):
@@ -221,7 +221,7 @@ def _flatten(document):
             raise ValidationError(f"config section {key!r} must be an object")
         for sub, subvalue in value.items():
             if sub not in entry:
-                raise ValidationError(f"unknown config key {key}.{sub!r}")
+                raise ValidationError(f"unknown config key {key + '.' + sub!r}")
             flat[entry[sub]] = subvalue
     return flat
 

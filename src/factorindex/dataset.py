@@ -12,6 +12,7 @@ import math
 import warnings
 from array import array
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .errors import ValidationError
 _MIN_CASES = 3
 _MIN_VARIABLES = 2
 _ZERO_SD = 1e-12
+_CHUNK_CELLS = 4096  # cells per parse block; bounds the text held at once
 
 
 @dataclass(frozen=True)
@@ -102,6 +104,13 @@ def load_csv(path, id_column=None, missing_policy="error"):
     ``"listwise"`` (drop incomplete rows with a warning). Non-numeric text in
     a numeric column and a blank case id are always errors, reported with the
     data row number (1-based, header excluded).
+
+    Rows are read in blocks of about ``_CHUNK_CELLS`` cells. A block whose
+    rows all have the header's width and a non-blank id is parsed column by
+    column (:func:`_parse_block`); any other block, or one holding a cell that
+    the column parse cannot take, goes row by row through :func:`_parse_row`,
+    which owns every error message. Both call ``float()`` on the same text, so
+    the values, ids, dropped ids and errors do not depend on the block size.
     """
     if missing_policy not in ("error", "listwise"):
         raise ValidationError(
@@ -126,47 +135,31 @@ def load_csv(path, id_column=None, missing_policy="error"):
                 id_index = header.index(id_column)
             indicator_names = [h for i, h in enumerate(header) if i != id_index]
 
-            rows = (row for row in reader if row and any(cell.strip() for cell in row))
+            width = len(header)
             case_ids = []
             parsed = array("d")  # kept rows' values, row after row
             dropped = []  # ids of incomplete rows skipped under listwise
-            for row_number, row in enumerate(rows, start=1):
-                if len(row) != len(header):
-                    raise ValidationError(
-                        f"row {row_number}: expected {len(header)} fields, got {len(row)}"
-                    )
-                case_id = row.pop(id_index).strip()
-                data = []
-                missing_here = False
-                for name, cell in zip(indicator_names, row):
-                    try:
-                        value = float(cell)
-                    except ValueError:
-                        # float() ignores surrounding whitespace but for 0x1c-0x1f,
-                        # which strip() also removes; a blank cell is missing.
-                        text = cell.strip()
-                        try:
-                            value = float(text or "nan")
-                        except ValueError:
-                            raise ValidationError(
-                                f"non-numeric value {text!r} at row {row_number}, "
-                                f"column {name!r}"
-                            ) from None
-                    if not math.isfinite(value):
-                        missing_here = True
-                        if missing_policy == "error":
-                            raise ValidationError(
-                                f"missing value at row {row_number}, column {name!r} "
-                                f"(case {case_id!r}); use missing_policy='listwise' to drop"
-                            )
-                    data.append(value)
-                if not case_id:
-                    raise ValidationError(f"row {row_number}: blank case id")
-                if missing_here:
-                    dropped.append(case_id)
+            row_number = 0  # data rows so far; blank lines are not counted
+            for block in _blocks(reader, max(1, _CHUNK_CELLS // max(width, 1))):
+                whole = _parse_block(block, width, id_index, missing_policy)
+                if whole is not None:
+                    ids, values, incomplete = whole
+                    row_number += len(block)
+                    case_ids += ids
+                    parsed.frombytes(values)
+                    dropped += incomplete
                     continue
-                case_ids.append(case_id)
-                parsed.extend(data)
+                for row in block:
+                    if not row or not any(cell.strip() for cell in row):
+                        continue
+                    row_number += 1
+                    case_id, data = _parse_row(row, row_number, width, id_index,
+                                               indicator_names, missing_policy)
+                    if data is None:
+                        dropped.append(case_id)
+                    else:
+                        case_ids.append(case_id)
+                        parsed.extend(data)
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except csv.Error as exc:
@@ -186,6 +179,94 @@ def load_csv(path, id_column=None, missing_policy="error"):
     values = np.frombuffer(parsed, dtype=float).reshape(len(case_ids),
                                                         len(indicator_names))
     return IndicatorDataset(tuple(case_ids), tuple(indicator_names), values)
+
+
+def _blocks(reader, size):
+    """Lists of up to ``size`` rows from ``reader``.
+
+    The rows read before a decode or CSV error are yielded before the error
+    propagates, so that an error in one of them is still reported first.
+    """
+    block = []
+    try:
+        for row in reader:
+            block.append(row)
+            if len(block) == size:
+                yield block
+                block = []
+    except (csv.Error, UnicodeDecodeError):
+        if block:
+            yield block
+        raise
+    if block:
+        yield block
+
+
+def _parse_block(block, width, id_index, missing_policy):
+    """``(ids, row-major value bytes, dropped ids)`` of the kept rows, or None.
+
+    None means :func:`_parse_row` must take the block: a row of another
+    width (a blank line, too), a blank id, a cell ``float()`` rejects other
+    than an empty one, or a non-finite cell under ``missing_policy="error"``.
+    """
+    if not width or set(map(len, block)) != {width}:
+        return None
+    columns = list(zip(*block))
+    ids = list(map(str.strip, columns.pop(id_index)))
+    if "" in ids:
+        return None
+    values = array("d")  # column after column
+    for column in columns:
+        if "" in column:  # a missing cell; _parse_row reads it as nan too
+            column = ["nan" if cell == "" else cell for cell in column]
+        try:
+            values.extend(map(float, column))
+        except ValueError:
+            return None
+    rows = np.frombuffer(values, dtype=float).reshape(len(columns), len(block)).T
+    complete = np.isfinite(rows).all(axis=1)
+    if complete.all():
+        return ids, rows.tobytes(), []
+    if missing_policy == "error":
+        return None
+    return (list(compress(ids, complete)), rows[complete].tobytes(),
+            list(compress(ids, ~complete)))
+
+
+def _parse_row(row, row_number, width, id_index, indicator_names, missing_policy):
+    """``(case id, values)`` of one non-blank data row; values is None if dropped."""
+    if len(row) != width:
+        raise ValidationError(
+            f"row {row_number}: expected {width} fields, got {len(row)}"
+        )
+    case_id = row.pop(id_index).strip()
+    data = []
+    missing_here = False
+    for name, cell in zip(indicator_names, row):
+        try:
+            value = float(cell)
+        except ValueError:
+            # float() ignores surrounding whitespace but for 0x1c-0x1f,
+            # which strip() also removes; a blank cell is missing.
+            text = cell.strip()
+            try:
+                value = float(text or "nan")
+            except ValueError:
+                raise ValidationError(
+                    f"non-numeric value {text!r} at row {row_number}, "
+                    f"column {name!r}"
+                ) from None
+        if not math.isfinite(value):
+            missing_here = True
+            if missing_policy == "error":
+                raise ValidationError(
+                    f"missing value at row {row_number}, column {name!r} "
+                    f"(case {case_id!r}); use missing_policy='listwise' to drop"
+                )
+        data.append(value)
+    if not case_id:
+        raise ValidationError(f"row {row_number}: blank case id")
+    return case_id, None if missing_here else data
 
 
 def standardize(ds):

@@ -456,9 +456,11 @@ class TestConfigFile:
         ({"rotation": {"tol": "1e-9"}}, "rotation.tol must be a finite number"),
         ({"rotation": {"tol": float("nan")}}, "rotation.tol must be a finite number"),
         ({"rotation": 5}, "config section 'rotation' must be an object"),
-        ({"rotation": {"foo": 1}}, "unknown config key rotation.'foo'"),
+        ({"rotation": {"foo": 1}}, "unknown config key 'rotation.foo'"),
         ({"output": {"formats": []}}, "output.formats must not be empty"),
         ({"input": ""}, "an input CSV is required"),
+        ({"input": 0}, "input must be a string, got 0"),
+        ({"input": False}, "input must be a string, got False"),
     ])
     def test_wrongly_typed_value_exits_2(self, table_csv, tmp_path, capsys,
                                          document, message):

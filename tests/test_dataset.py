@@ -1,8 +1,10 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from factorindex import dataset
 from factorindex.dataset import (IndicatorDataset, load_csv, select_variables,
                                  standardize)
 from factorindex.errors import ValidationError
@@ -111,20 +113,93 @@ class TestLoadCsv:
 
     def test_peak_memory_per_cell(self, tmp_path):
         # The values are kept in one flat float64 buffer, not as one Python
-        # float per cell.
-        n, p = 5000, 12
-        path = write_table_csv(tmp_path / "tall.csv",
-                               [f"tract_{i:05d}" for i in range(n)],
-                               [f"v{j}" for j in range(p)],
-                               np.random.RandomState(5).randn(n, p))
-        tracemalloc.start()
+        # float per cell, and a parse block holds a bounded number of cells
+        # whatever the table's width.
+        for n, p, bound in ((5000, 12, 40), (2000, 120, 20)):
+            path = write_table_csv(tmp_path / f"table_{n}x{p}.csv",
+                                   [f"tract_{i:05d}" for i in range(n)],
+                                   [f"v{j}" for j in range(p)],
+                                   np.random.RandomState(5).randn(n, p))
+            tracemalloc.start()
+            try:
+                ds = load_csv(path)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert ds.values.shape == (n, p)
+            assert peak < bound * n * p, (n, p, peak / (n * p))
+
+
+def outcome(path, policy):
+    """``(ids, value bytes, warnings)`` of :func:`load_csv`, or its error text."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         try:
-            ds = load_csv(path)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert ds.values.shape == (n, p)
-        assert peak < 40 * n * p
+            ds = load_csv(path, missing_policy=policy)
+        except ValidationError as exc:
+            return str(exc)
+    return ds.case_ids, ds.values.tobytes(), [str(w.message) for w in caught]
+
+
+GOOD_ROWS = "".join(f"G{i},{i}.5,{-i}.25\n" for i in range(6))
+OVERSIZED = "Q,1," + "9" * 140_000 + "\n"  # over csv's default field limit
+# Rows enough to push what follows past the first 8 KiB decoded from the file.
+PADDING = "".join(f"P{i:04d},1.25,2.5\n" for i in range(700))
+
+# Bodies under the header "id,a,b": each is read with a block budget of
+# 1 cell (one row a block), 7 cells (two rows) and the default (one block).
+BLOCK_BODIES = {
+    "listwise blanks at a block boundary":
+        "A,1,2\nB,3,\nC,,6\nD,7,8\nE,9,\nF,11,12\n" + GOOD_ROWS,
+    "blank lines and rows mid-file":
+        "A,1,2\n\nB,3,4\n , ,\n,,\nC,5,6\nD,x,8\n",
+    "blank lines and rows, all valid":
+        "A,1,2\n\nB,3,4\n , ,\n,,\nC,5,6\nD,7,8\n",
+    "ragged row": GOOD_ROWS + "R,1\n" + GOOD_ROWS.replace("G", "H"),
+    "blank id": GOOD_ROWS + " ,1,2\n",
+    "blank id and a bad cell": GOOD_ROWS + ",abc,2\n",
+    "bad row, then an oversized field": "A,1,2\nB,3,4\nC,abc,6\n" + OVERSIZED,
+    "oversized field": GOOD_ROWS + OVERSIZED,
+    "bad row, then a non-UTF-8 byte":
+        "A,1,2\nB,abc,4\n" + PADDING + "X,\xff,1\n",
+    "non-UTF-8 byte": GOOD_ROWS + PADDING + "X,\xff,1\n",
+}
+for cell in ("abc", " ", "nan", "inf", "1e999", "\x1c5\x1c", "", "-0.0", "1_0"):
+    BLOCK_BODIES[f"cell {cell!r}"] = f"A,1,2\nB,3,4\nC,5,{cell}\n" + GOOD_ROWS
+
+
+def write_body(tmp_path, name):
+    path = tmp_path / "data.csv"
+    # Latin-1 keeps the ASCII text and makes "\xff" the one byte UTF-8 rejects.
+    path.write_bytes(("id,a,b\n" + BLOCK_BODIES[name]).encode("latin-1"))
+    return path
+
+
+class TestBlockParse:
+    """The column-wise block parse gives what the per-row rule alone gives."""
+
+    @pytest.mark.parametrize("cells", [1, 7, dataset._CHUNK_CELLS])
+    @pytest.mark.parametrize("policy", ["error", "listwise"])
+    @pytest.mark.parametrize("name", sorted(BLOCK_BODIES))
+    def test_matches_the_row_parse(self, tmp_path, monkeypatch, name, policy, cells):
+        path = write_body(tmp_path, name)
+        monkeypatch.setattr(dataset, "_CHUNK_CELLS", cells)
+        blocks = outcome(path, policy)
+        monkeypatch.setattr(dataset, "_parse_block", lambda *args: None)
+        assert blocks == outcome(path, policy)
+
+    @pytest.mark.parametrize("cells", [1, 7, dataset._CHUNK_CELLS])
+    @pytest.mark.parametrize("name, message", [
+        ("bad row, then an oversized field", "non-numeric value 'abc' at row 3"),
+        ("oversized field", "line 8: field larger than field limit"),
+        ("bad row, then a non-UTF-8 byte", "non-numeric value 'abc' at row 2"),
+        ("non-UTF-8 byte", "not UTF-8 text"),
+    ])
+    def test_read_errors_keep_their_order(self, tmp_path, monkeypatch, name,
+                                          message, cells):
+        path = write_body(tmp_path, name)
+        monkeypatch.setattr(dataset, "_CHUNK_CELLS", cells)
+        assert message in outcome(path, "listwise")
 
 
 class TestDatasetInvariants:
