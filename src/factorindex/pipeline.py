@@ -2,13 +2,21 @@
 
 A run can stop early (``factors``, ``rank``) or compare explicit groups
 without a factor model (``compare``). Report files are written only after
-every computation has succeeded, so a run that fails in a computation
-leaves no outputs; a write that fails part-way leaves the files written
-before it. Outputs are byte-deterministic for identical inputs and config.
+every computation has succeeded, and then all of them or none: each is
+written whole into a temporary directory inside ``out_dir``, and only when
+every one is complete, and no target path is a directory, is each moved
+into place with ``os.replace``. A run that fails leaves the files already in
+``out_dir`` as they were, and removes ``out_dir`` if the run created it and
+it is still empty.
+Outputs are byte-deterministic for identical inputs and config.
 """
 
+import errno
 import os
 import platform
+import shutil
+import tempfile
+from contextlib import ExitStack, suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,50 +98,80 @@ def run_pipeline(config, stage="analyze"):
                           comparison=comparison, files=tuple(files))
 
 
+_RANKING_FILES = (("json", "ranking.json"), ("csv", "ranking.csv"),
+                  ("text", "ranking.txt"))
+
+
 def _write_outputs(config, model, ranked, comparison):
+    """Write every artifact into a temporary directory inside ``out_dir``,
+    then move each into place; return the paths in write order."""
     out_dir = config.out_dir
+    created = not os.path.isdir(out_dir)
     os.makedirs(out_dir, exist_ok=True)
-    staged = []  # (filename, text)
+    tmp = tempfile.mkdtemp(dir=out_dir)
+    try:
+        names = _write_artifacts(tmp, config, model, ranked, comparison)
+        targets = [os.path.join(out_dir, name) for name in names]
+        for target in targets:
+            if os.path.isdir(target):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
+                                        target)
+        for name, target in zip(names, targets):
+            os.replace(os.path.join(tmp, name), target)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        if created:
+            # Empty unless something else wrote into it; then it stays.
+            with suppress(OSError):
+                os.rmdir(out_dir)
+        raise
+    os.rmdir(tmp)
+    return targets
 
+
+def _write_artifacts(directory, config, model, ranked, comparison):
+    """Write the requested artifacts into ``directory``; return their names."""
+    formats = config.formats
+    files = []  # (filename, text); write_ranking writes the ranking files
     if model is not None:
-        if "json" in config.formats:
-            staged.append(("factor_model.json", reports.record_json(model)))
-        if "csv" in config.formats:
-            staged.append(("factor_model.csv", reports.loadings_csv(model)))
-            staged.append(("factor_model_eigenvalues.csv",
-                           reports.eigenvalues_csv(model)))
-            staged.append(("factor_model_communalities.csv",
-                           reports.communalities_csv(model)))
-            staged.append(("factor_model_coefficients.csv",
-                           reports.score_coefficients_csv(model)))
-        if "text" in config.formats:
-            staged.append(("factor_model.txt", reports.factor_model_text(model)))
-
+        if "json" in formats:
+            files.append(("factor_model.json", reports.record_json(model)))
+        if "csv" in formats:
+            files.append(("factor_model.csv", reports.loadings_csv(model)))
+            files.append(("factor_model_eigenvalues.csv",
+                          reports.eigenvalues_csv(model)))
+            files.append(("factor_model_communalities.csv",
+                          reports.communalities_csv(model)))
+            files.append(("factor_model_coefficients.csv",
+                          reports.score_coefficients_csv(model)))
+        if "text" in formats:
+            files.append(("factor_model.txt", reports.factor_model_text(model)))
     if ranked is not None:
-        if "json" in config.formats:
-            staged.append(("ranking.json", reports.ranking_json(ranked, model)))
-        if "csv" in config.formats:
-            staged.append(("ranking.csv", reports.ranking_csv(ranked)))
-        if "text" in config.formats:
-            staged.append(("ranking.txt", reports.ranking_text(ranked, model)))
-
+        ranking = {fmt: name for fmt, name in _RANKING_FILES if fmt in formats}
+        files += [(name, None) for name in ranking.values()]
     if comparison is not None:
-        if "json" in config.formats:
-            staged.append(("comparison.json", reports.record_json(comparison)))
-        if "csv" in config.formats:
-            staged.append(("comparison.csv", reports.comparison_csv(comparison)))
-        if "text" in config.formats:
-            staged.append(("comparison.txt", reports.comparison_text(comparison)))
+        if "json" in formats:
+            files.append(("comparison.json", reports.record_json(comparison)))
+        if "csv" in formats:
+            files.append(("comparison.csv", reports.comparison_csv(comparison)))
+        if "text" in formats:
+            files.append(("comparison.txt", reports.comparison_text(comparison)))
+    files.append(("run_summary.json", reports.to_json_text(run_summary(config))))
 
-    staged.append(("run_summary.json", reports.to_json_text(run_summary(config))))
+    for name, text in files:
+        if text is not None:
+            with _open(directory, name) as fh:
+                fh.write(text)
+    if ranked is not None:
+        with ExitStack() as stack:
+            reports.write_ranking(ranked, model, {
+                fmt: stack.enter_context(_open(directory, name))
+                for fmt, name in ranking.items()})
+    return [name for name, _ in files]
 
-    written = []
-    for filename, text in staged:
-        path = os.path.join(out_dir, filename)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        written.append(path)
-    return written
+
+def _open(directory, name):
+    return open(os.path.join(directory, name), "w", encoding="utf-8", newline="")
 
 
 def run_summary(config):

@@ -9,13 +9,6 @@ from .factors import FactorScores
 
 
 @dataclass(frozen=True)
-class RankEntry:
-    rank: int
-    case_id: str
-    score: float
-
-
-@dataclass(frozen=True)
 class RankedIndex:
     """Cases ordered on one factor's scores, optionally split into end groups.
 
@@ -42,12 +35,6 @@ class RankedIndex:
     @property
     def n_cases(self):
         return len(self.case_ids)
-
-    @property
-    def entries(self):
-        """The ranking as :class:`RankEntry` records, built on each access."""
-        return tuple(map(RankEntry, range(1, self.n_cases + 1), self.case_ids,
-                         self.scores.tolist()))
 
 
 def _resolve_factor(selector, n_factors):

@@ -3,15 +3,16 @@
 Three formats per artifact: JSON (full precision, machine-readable), CSV
 (full precision, chart-ready), and aligned text tables with numbers to
 3 decimals for reading. The JSON of a factor model or a group comparison
-is its result record, field for field (:func:`record_json`). All emitters
-are deterministic: same object in, same bytes out.
+is its result record, field for field (:func:`record_json`). The three
+ranking files are written to open streams in one pass over the ranking
+(:func:`write_ranking`); every other artifact is returned as a string. All
+emitters are deterministic: same object in, same bytes out.
 """
 
 import csv
 import io
 import json
 import math
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -155,11 +156,6 @@ def top_loading_variables(model, factor, count=3):
     return [(model.indicator_names[i], float(column[i])) for i in order[:count]]
 
 
-def _ranked_rows(ranked):
-    """(rank, case id, score) in rank order, each score a Python float."""
-    return zip(range(1, ranked.n_cases + 1), ranked.case_ids, ranked.scores.tolist())
-
-
 def _ranking_payload(ranked, model, entries):
     return {
         "factor": int(ranked.factor),
@@ -176,9 +172,11 @@ def _ranking_payload(ranked, model, entries):
 
 
 def ranking_payload(ranked, model):
+    """The ranking.json document as one dict, one dict per rank."""
     return _ranking_payload(ranked, model, [
         {"rank": rank, "case_id": cid, "score": _clean(score)}
-        for rank, cid, score in _ranked_rows(ranked)
+        for rank, cid, score in zip(range(1, ranked.n_cases + 1), ranked.case_ids,
+                                    ranked.scores.tolist())
     ])
 
 
@@ -186,49 +184,77 @@ def ranking_payload(ranked, model):
 # holds a raw newline, so this line occurs once.
 _EMPTY_ENTRIES = '\n  "entries": [],\n'
 _ENTRY_JSON = '    {\n      "case_id": %s,\n      "rank": %d,\n      "score": %s\n    }'
+# Ranks formatted and written per block: the memory a write holds is this
+# many ranks' text, whatever the number of cases.
+_BLOCK_RANKS = 4096
 
 
-def ranking_json(ranked, model):
-    """``to_json_text(ranking_payload(ranked, model))``, without building one
-    dict per entry: the entries block is written directly and spliced into
-    the encoding of the rest of the payload."""
-    text = to_json_text(_ranking_payload(ranked, model, []))
-    if not ranked.n_cases:
-        return text
-    head, _, tail = text.partition(_EMPTY_ENTRIES)
-    block = ",\n".join([
-        _ENTRY_JSON % (encode_basestring_ascii(cid), rank,
-                       float.__repr__(score) if math.isfinite(score) else "null")
-        for rank, cid, score in _ranked_rows(ranked)
-    ])
-    return f'{head}\n  "entries": [\n{block}\n  ],\n{tail}'
-
-
-def ranking_csv(ranked):
-    rows = ((str(rank), cid, _num(score)) for rank, cid, score in _ranked_rows(ranked))
-    return _csv_text(chain([("rank", "case_id", "score")], rows))
-
-
-def ranking_text(ranked, model):
+def _ranking_text_head(ranked, model):
     strongest = ", ".join(
         f"{name} ({value:.3f})"
         for name, value in top_loading_variables(model, ranked.factor)
     )
-    lines = [f"Ranking on factor {ranked.factor} ({ranked.direction})",
-             f"Largest loadings on this factor: {strongest}", ""]
     width = max(len("Communities"), max(map(len, ranked.case_ids)))
-    lines.append(f"{'Rank':>4} | Communities")
-    lines.append("-" * (7 + width))
-    lines.extend(f"{rank:>4} | {cid}"
-                 for rank, cid in enumerate(ranked.case_ids, start=1))
-    if ranked.group_size:
-        lines.append("")
-        lines.append(f"Group 1 (ranks 1-{ranked.group_size}): "
-                     + ", ".join(ranked.group1_ids))
-        n = ranked.n_cases
-        lines.append(f"Group 2 (ranks {n - ranked.group_size + 1}-{n}): "
-                     + ", ".join(ranked.group2_ids))
-    return "\n".join(lines) + "\n"
+    return (f"Ranking on factor {ranked.factor} ({ranked.direction})\n"
+            f"Largest loadings on this factor: {strongest}\n\n"
+            f"{'Rank':>4} | Communities\n" + "-" * (7 + width) + "\n")
+
+
+def _ranking_text_tail(ranked):
+    if not ranked.group_size:
+        return ""
+    n, k = ranked.n_cases, ranked.group_size
+    return (f"\nGroup 1 (ranks 1-{k}): " + ", ".join(ranked.group1_ids)
+            + f"\nGroup 2 (ranks {n - k + 1}-{n}): " + ", ".join(ranked.group2_ids)
+            + "\n")
+
+
+def write_ranking(ranked, model, streams):
+    """Write ranking.json, ranking.csv and ranking.txt in one pass.
+
+    ``streams`` maps each wanted format (``"json"``, ``"csv"``, ``"text"``)
+    to an open text stream. The ranks go out in blocks of ``_BLOCK_RANKS``;
+    each block's scores are formatted once, with ``float.__repr__``, and
+    that text serves JSON and CSV alike (a non-finite score is ``null`` in
+    JSON). The bytes are those of ``to_json_text(ranking_payload(...))``,
+    of ``csv.writer`` over ``(rank, case_id, repr(score))`` rows under a
+    ``rank,case_id,score`` header, and of the aligned text table.
+    """
+    json_out = streams.get("json")
+    csv_out = streams.get("csv")
+    text_out = streams.get("text")
+    n = ranked.n_cases
+    if json_out is not None:
+        head, _, json_tail = to_json_text(
+            _ranking_payload(ranked, model, [])).partition(_EMPTY_ENTRIES)
+        json_out.write(head + '\n  "entries": [')
+    if csv_out is not None:
+        writer = csv.writer(csv_out, lineterminator="\n")
+        writer.writerow(("rank", "case_id", "score"))
+    if text_out is not None:
+        text_out.write(_ranking_text_head(ranked, model))
+    for start in range(0, n, _BLOCK_RANKS):
+        stop = min(start + _BLOCK_RANKS, n)
+        ranks = range(start + 1, stop + 1)
+        ids = ranked.case_ids[start:stop]
+        if json_out is not None or csv_out is not None:
+            block = ranked.scores[start:stop]
+            floats = block.tolist()
+            scores = list(map(float.__repr__, floats))
+        if json_out is not None:
+            values = scores if np.isfinite(block).all() else [
+                s if math.isfinite(x) else "null" for s, x in zip(scores, floats)]
+            json_out.write(("\n" if start == 0 else ",\n") + ",\n".join(map(
+                _ENTRY_JSON.__mod__,
+                zip(map(encode_basestring_ascii, ids), ranks, values))))
+        if csv_out is not None:
+            writer.writerows(zip(ranks, ids, scores))
+        if text_out is not None:
+            text_out.write("".join(map("{:>4} | {}\n".format, ranks, ids)))
+    if json_out is not None:
+        json_out.write(("\n  ]" if n else "]") + ",\n" + json_tail)
+    if text_out is not None:
+        text_out.write(_ranking_text_tail(ranked))
 
 
 # ---------------------------------------------------------------------------

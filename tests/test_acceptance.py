@@ -260,10 +260,10 @@ def test_b13_pipeline_determinism_and_rank_invariance(tmp_path):
         order = rng.permutation(30)
         scores = FactorScores(tuple(case_ids[i] for i in order),
                               column[order][:, None])
-        pairs = [(e.case_id, e.rank) for e in rank_by_factor(scores, 1).entries]
+        ranked_ids = rank_by_factor(scores, 1).case_ids
         if baseline is None:
-            baseline = pairs
-        invariant &= pairs == baseline
+            baseline = ranked_ids
+        invariant &= ranked_ids == baseline
     criterion("B13 two identical runs byte-identical; ranking invariant "
               "under 50 input shuffles",
               identical and invariant)

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import errno
 import json
 import os
 import random
@@ -12,6 +13,7 @@ import pytest
 
 import factorindex
 from factorindex import config as config_module
+from factorindex import reports
 from factorindex.cli import build_parser, main
 from factorindex.config import PipelineConfig, config_from_dict
 
@@ -63,11 +65,20 @@ class TestAnalyze:
         assert rc == 0
         files = set(os.listdir(out))
         assert {"factor_model.json", "factor_model.csv", "factor_model.txt",
+                "factor_model_eigenvalues.csv", "factor_model_communalities.csv",
+                "factor_model_coefficients.csv",
                 "ranking.json", "ranking.csv", "ranking.txt",
                 "comparison.json", "comparison.csv", "comparison.txt",
-                "run_summary.json"} <= files
+                "run_summary.json"} == files
         printed = capsys.readouterr().out
-        assert "run_summary.json" in printed
+        assert printed.splitlines() == [
+            str(out / name) for name in (
+                "factor_model.json", "factor_model.csv",
+                "factor_model_eigenvalues.csv", "factor_model_communalities.csv",
+                "factor_model_coefficients.csv", "factor_model.txt",
+                "ranking.json", "ranking.csv", "ranking.txt",
+                "comparison.json", "comparison.csv", "comparison.txt",
+                "run_summary.json")]
 
     def test_k_out_of_range_exits_2(self, table_csv, tmp_path, capsys):
         rc = main(["analyze", "--input", table_csv,
@@ -352,6 +363,68 @@ class TestSubcommands:
                        "--missing-policy", "listwise", "--retention", "fixed",
                        "--retention-k", "1"])
         assert rc == 0
+
+
+def snapshot(directory):
+    """Every entry of ``directory`` with its bytes (None for a directory)."""
+    return {path.name: None if path.is_dir() else path.read_bytes()
+            for path in sorted(directory.iterdir())}
+
+
+class TestAllOrNone:
+    """A run that fails in the write step leaves --out-dir as it found it."""
+
+    ALL_FORMATS = ["--format", "json", "--format", "csv", "--format", "text"]
+
+    def earlier_run(self, table_csv, out):
+        assert main(["analyze", "--input", table_csv, "--out-dir", str(out)]
+                    + self.ALL_FORMATS) == 0
+
+    @pytest.mark.parametrize("name", ["factor_model.txt", "ranking.csv"])
+    def test_a_directory_at_an_artifact_path_writes_nothing(self, table_csv, tmp_path,
+                                                            capsys, name):
+        out = tmp_path / "out"
+        self.earlier_run(table_csv, out)
+        (out / name).unlink()
+        (out / name).mkdir()
+        before = snapshot(out)
+        capsys.readouterr()
+        rc = main(["analyze", "--input", table_csv, "--out-dir", str(out),
+                   "--k", "5", "--direction", "descending"] + self.ALL_FORMATS)
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            f"error: [Errno 21] Is a directory: {str(out / name)!r}\n"
+        assert snapshot(out) == before
+
+    @pytest.mark.parametrize("case", ["created", "existing", "shared"])
+    def test_a_write_that_fails_part_way_writes_nothing(self, table_csv, tmp_path,
+                                                        capsys, monkeypatch, case):
+        # "shared": the run creates --out-dir, and another writer puts a
+        # file into it before the run fails; that file must survive.
+        out = tmp_path / "out"
+        if case == "existing":
+            self.earlier_run(table_csv, out)
+            before = snapshot(out)
+
+        def fail_part_way(ranked, model, streams):
+            for stream in streams.values():
+                stream.write("{\n")
+            if case == "shared":
+                (out / "notes.txt").write_text("kept\n")
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(reports, "write_ranking", fail_part_way)
+        capsys.readouterr()
+        rc = main(["analyze", "--input", table_csv, "--out-dir", str(out),
+                   "--k", "5"] + self.ALL_FORMATS)
+        assert rc == 2
+        assert capsys.readouterr().err.count("\n") == 1
+        if case == "existing":
+            assert snapshot(out) == before
+        elif case == "shared":
+            assert sorted(os.listdir(out)) == ["notes.txt"]
+        else:
+            assert not out.exists()
 
 
 class TestNotices:

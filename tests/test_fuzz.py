@@ -3,7 +3,10 @@
 Each case is a small generated CSV, valid or broken by a few mutations,
 run through one subcommand with generated (sometimes bad) flags. The
 contract: ``cli.main`` returns 0, 2 or 3, raises nothing, and leaves no
-output directory behind after a non-zero exit. Cases that the program
+output directory behind after a non-zero exit. Some cases find an earlier
+run's output directory with a directory where one artifact would go: a
+run that fails then leaves that directory exactly as it was, and one that
+reaches the write step fails there with one line naming the path. Cases that the program
 once accepted (a blank case id, ``retention.k`` < 1 under the Kaiser rule,
 an id repeated within a compare group) must exit 2 for that reason, and
 a numerical failure must name its cause rather than a bare eigenvalue.
@@ -199,18 +202,61 @@ def fuzz_case(rng, directory, index):
     return [command, "--input", path, "--out-dir", out] + flags, expected
 
 
+# Artifact paths a directory is put at, in turn, on every BLOCK_EVERY-th case.
+BLOCKED = ("run_summary.json", "factor_model.txt", "ranking.csv")
+BLOCK_EVERY = 4
+
+
+def _block(out, name):
+    """An earlier run's out-dir: one earlier file, and a directory at ``name``."""
+    os.makedirs(os.path.join(out, name))
+    with open(os.path.join(out, "comparison.json"), "w", encoding="utf-8") as fh:
+        fh.write("earlier\n")
+    return _snapshot(out)
+
+
+def _snapshot(out):
+    """Every entry of ``out`` with its bytes (None for a directory)."""
+    entries = {}
+    for name in sorted(os.listdir(out)):
+        path = os.path.join(out, name)
+        if os.path.isdir(path):
+            entries[name] = None
+        else:
+            with open(path, "rb") as fh:
+                entries[name] = fh.read()
+    return entries
+
+
 def test_exit_code_contract_under_fuzzing(tmp_path, capsys):
     rng = random.Random(SEED)
     exits = {0: 0, 2: 0, 3: 0}
+    stopped_at_block = 0
     for index in range(N_CASES):
         argv, expected = fuzz_case(rng, str(tmp_path), index)
+        out = argv[argv.index("--out-dir") + 1]
+        blocked = None
+        if index % BLOCK_EVERY == 1:
+            blocked = BLOCKED[index // BLOCK_EVERY % len(BLOCKED)]
+            before = _block(out, blocked)
         rc = main(argv)
-        err = capsys.readouterr().err
+        captured = capsys.readouterr()
+        err = captured.err
         assert rc in exits, (argv, rc, err)
         exits[rc] += 1
         assert "Traceback" not in err, (argv, err)
-        out = argv[argv.index("--out-dir") + 1]
-        assert os.path.isdir(out) == (rc == 0), (argv, rc, err)
+        if blocked is None:
+            assert os.path.isdir(out) == (rc == 0), (argv, rc, err)
+        elif rc == 0:
+            assert os.path.isdir(os.path.join(out, blocked)), (argv, blocked)
+            assert os.path.join(out, blocked) not in captured.out.splitlines()
+        else:
+            # All or none: no new file, and the earlier files untouched.
+            assert _snapshot(out) == before, (argv, rc, err)
+            if "Is a directory" in err:
+                stopped_at_block += 1
+                assert err == ("error: [Errno 21] Is a directory: "
+                               f"{os.path.join(out, blocked)!r}\n"), (argv, err)
         if expected is not None:
             assert rc == 2 and expected in err, (argv, rc, err)
         if rc == 3:
@@ -218,3 +264,4 @@ def test_exit_code_contract_under_fuzzing(tmp_path, capsys):
             assert "smallest eigenvalue" not in err, (argv, err)
     # The corpus reaches every outcome, not just the input checks.
     assert min(exits.values()) >= 20, exits
+    assert stopped_at_block >= 10, stopped_at_block

@@ -18,24 +18,17 @@ def scores_of(mapping, n_factors=1):
 class TestRankByFactor:
     def test_ascending(self):
         ranked = rank_by_factor(scores_of({"A": -1.2, "B": 0.5, "C": 0.3}), 1)
-        assert [(e.rank, e.case_id) for e in ranked.entries] == [
-            (1, "A"), (2, "C"), (3, "B")]
+        assert ranked.case_ids == ("A", "C", "B")
 
     def test_tie_breaks_lexicographically(self):
         ranked = rank_by_factor(scores_of({"B": 0.5, "A": 0.5}), 1)
-        assert [(e.rank, e.case_id) for e in ranked.entries] == [
-            (1, "A"), (2, "B")]
+        assert ranked.case_ids == ("A", "B")
 
     def test_descending_reverses_distinct_scores(self):
         mapping = {"A": -1.2, "B": 0.5, "C": 0.3}
         up = rank_by_factor(scores_of(mapping), 1, "ascending")
         down = rank_by_factor(scores_of(mapping), 1, "descending")
-        assert [e.case_id for e in down.entries] == \
-            [e.case_id for e in up.entries][::-1]
-        n = len(mapping)
-        up_rank = {e.case_id: e.rank for e in up.entries}
-        for e in down.entries:
-            assert e.rank == n + 1 - up_rank[e.case_id]
+        assert down.case_ids == up.case_ids[::-1]
 
     def test_permutation_invariance(self):
         rng = np.random.RandomState(7)
@@ -49,10 +42,9 @@ class TestRankByFactor:
                 scores=values[order][:, None],
             )
             ranked = rank_by_factor(scores, 1)
-            pairs = [(e.case_id, e.rank) for e in ranked.entries]
             if baseline is None:
-                baseline = pairs
-            assert pairs == baseline
+                baseline = ranked.case_ids
+            assert ranked.case_ids == baseline
 
     def test_affine_invariance(self):
         rng = np.random.RandomState(11)
@@ -62,14 +54,13 @@ class TestRankByFactor:
         for a, b in ((2.0, 0.0), (0.5, 3.0), (10.0, -7.0)):
             moved = rank_by_factor(
                 FactorScores(ids, (a * values + b)[:, None]), 1)
-            assert [(e.rank, e.case_id) for e in moved.entries] == \
-                [(e.rank, e.case_id) for e in base.entries]
+            assert moved.case_ids == base.case_ids
 
     def test_factor_selector_forms(self):
         scores = FactorScores(("a", "b", "c"),
                               np.array([[0.0, 1.0], [1.0, 0.0], [2.0, -1.0]]))
         by_int = rank_by_factor(scores, 2)
-        assert [e.case_id for e in by_int.entries] == ["c", "b", "a"]
+        assert by_int.case_ids == ("c", "b", "a")
         with pytest.raises(ValidationError, match="cannot parse"):
             rank_by_factor(scores, "2")
 
@@ -85,7 +76,7 @@ class TestRankByFactor:
         scores = FactorScores(tuple(f"c{i}" for i in range(30)),
                               rng.randn(30)[:, None])
         ranked = rank_by_factor(scores, 1, "ascending")
-        values = [e.score for e in ranked.entries]
+        values = ranked.scores.tolist()
         assert all(b >= a for a, b in zip(values, values[1:]))
 
 
@@ -96,9 +87,8 @@ class TestSelectGroups:
                               rng.randn(88)[:, None])
         ranked = rank_by_factor(scores, 1)
         grouped = with_groups(ranked, 10)
-        assert grouped.group1_ids == tuple(e.case_id for e in ranked.entries[:10])
-        assert grouped.group2_ids == tuple(e.case_id for e in ranked.entries[78:88])
-        assert {e.rank for e in ranked.entries[78:88]} == set(range(79, 89))
+        assert grouped.group1_ids == ranked.case_ids[:10]
+        assert grouped.group2_ids == ranked.case_ids[78:88]
 
     def test_boundary_partition(self):
         rng = np.random.RandomState(19)
@@ -161,13 +151,11 @@ class TestRankOrderMatchesPythonSort:
 
 
 class TestRankedColumns:
-    def test_entries_are_a_view_of_the_columns(self):
+    def test_columns_are_in_rank_order(self):
         ranked = rank_by_factor(scores_of({"A": -1.2, "B": 0.5, "C": 0.3}), 1)
         assert ranked.n_cases == 3
         assert ranked.case_ids == ("A", "C", "B")
-        assert [(e.rank, e.case_id, e.score) for e in ranked.entries] == [
-            (1, "A", -1.2), (2, "C", 0.3), (3, "B", 0.5)]
-        assert all(type(e.score) is float for e in ranked.entries)
+        assert ranked.scores.tolist() == [-1.2, 0.3, 0.5]
 
     def test_scores_are_read_only(self):
         ranked = rank_by_factor(scores_of({"A": -1.2, "B": 0.5, "C": 0.3}), 1)

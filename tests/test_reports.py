@@ -79,19 +79,26 @@ class TestFactorModelExports:
                 assert float(rows[1 + i][1 + j]) == model.loadings_rotated[i, j]
 
 
+def write_ranking(ranked, model, formats=("json", "csv", "text")):
+    """The texts write_ranking writes for ``formats``, by format."""
+    streams = {fmt: io.StringIO() for fmt in formats}
+    reports.write_ranking(ranked, model, streams)
+    return {fmt: stream.getvalue() for fmt, stream in streams.items()}
+
+
 class TestRankingExports:
     def test_csv(self, fitted):
-        _, _, ranked, _ = fitted
-        rows = parse_csv(reports.ranking_csv(ranked))
+        _, model, ranked, _ = fitted
+        rows = parse_csv(write_ranking(ranked, model)["csv"])
         assert rows[0] == ["rank", "case_id", "score"]
         assert [int(r[0]) for r in rows[1:]] == list(range(1, ranked.n_cases + 1))
-        assert float(rows[1][2]) == ranked.entries[0].score
+        assert float(rows[1][2]) == ranked.scores[0]
 
     def test_text_layout(self, fitted):
         _, model, ranked, _ = fitted
-        text = reports.ranking_text(ranked, model)
+        text = write_ranking(ranked, model)["text"]
         assert "Rank | Communities" in text
-        assert f"   1 | {ranked.entries[0].case_id}" in text
+        assert f"   1 | {ranked.case_ids[0]}" in text
         assert "Largest loadings on this factor" in text
         assert "Group 1 (ranks 1-10)" in text
 
@@ -122,13 +129,39 @@ def adversarial_ranking(*case_ids, scores=None):
 
 
 def csv_writer_ranking(ranked):
-    """ranking.csv as csv.writer writes it from the entries."""
+    """ranking.csv as csv.writer writes it from the ranking's columns."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["rank", "case_id", "score"])
-    for e in ranked.entries:
-        writer.writerow([str(e.rank), e.case_id, repr(e.score)])
+    for rank, (cid, score) in enumerate(zip(ranked.case_ids, ranked.scores.tolist()),
+                                        start=1):
+        writer.writerow([str(rank), cid, repr(score)])
     return buf.getvalue()
+
+
+def text_ranking(ranked, model):
+    """ranking.txt built line by line: title, loadings, rank table, groups."""
+    strongest = ", ".join(
+        f"{name} ({value:.3f})"
+        for name, value in reports.top_loading_variables(model, ranked.factor))
+    lines = [f"Ranking on factor {ranked.factor} ({ranked.direction})",
+             f"Largest loadings on this factor: {strongest}", ""]
+    width = max(len("Communities"), max(len(cid) for cid in ranked.case_ids))
+    lines.append(f"{'Rank':>4} | Communities")
+    lines.append("-" * (7 + width))
+    lines.extend(f"{rank:>4} | {cid}"
+                 for rank, cid in enumerate(ranked.case_ids, start=1))
+    if ranked.group_size:
+        n, k = ranked.n_cases, ranked.group_size
+        lines.append("")
+        lines.append(f"Group 1 (ranks 1-{k}): " + ", ".join(ranked.group1_ids))
+        lines.append(f"Group 2 (ranks {n - k + 1}-{n}): " + ", ".join(ranked.group2_ids))
+    return "\n".join(lines) + "\n"
+
+
+def references(ranked, model):
+    return {"json": reports.to_json_text(reports.ranking_payload(ranked, model)),
+            "csv": csv_writer_ranking(ranked), "text": text_ranking(ranked, model)}
 
 
 def csv_writer_accepts(field):
@@ -139,54 +172,91 @@ def csv_writer_accepts(field):
     return True
 
 
-class TestDirectRankingEmitters:
-    """ranking_csv and ranking_json stream the ranking columns; the bytes must
-    be those of csv.writer and of to_json_text(ranking_payload(...))."""
+class _Sink:
+    """A text stream that keeps nothing."""
+
+    def write(self, text):
+        return len(text)
+
+
+class TestWriteRanking:
+    """write_ranking streams the ranking columns in blocks; the bytes must be
+    those of to_json_text(ranking_payload(...)), of csv.writer and of the
+    line-by-line text layout, whatever the block size."""
 
     CASES = [[cid] for cid in ADVERSARIAL_IDS.values()] + [list(ADVERSARIAL_IDS.values())]
     NAMES = list(ADVERSARIAL_IDS) + ["all"]
 
     @pytest.mark.parametrize("case_ids", CASES, ids=NAMES)
-    def test_csv_equals_csv_writer(self, case_ids):
+    def test_csv_equals_csv_writer(self, fitted, case_ids):
+        _, model, _, _ = fitted
         ranked = adversarial_ranking(*case_ids)
         if all(map(csv_writer_accepts, case_ids)):
-            assert reports.ranking_csv(ranked) == csv_writer_ranking(ranked)
+            assert write_ranking(ranked, model, ["csv"])["csv"] == \
+                csv_writer_ranking(ranked)
         else:
             with pytest.raises(csv.Error):
-                reports.ranking_csv(ranked)
+                write_ranking(ranked, model, ["csv"])
 
     @pytest.mark.parametrize("case_ids", CASES, ids=NAMES)
-    def test_json_equals_json_dumps(self, fitted, case_ids):
+    def test_json_and_text_equal_the_references(self, fitted, case_ids):
         _, model, _, _ = fitted
         ranked = adversarial_ranking(*case_ids)
         payload = reports.ranking_payload(ranked, model)
-        assert reports.ranking_json(ranked, model) == reports.to_json_text(payload)
+        written = write_ranking(ranked, model, ["json", "text"])
+        assert written["json"] == reports.to_json_text(payload)
+        assert written["text"] == text_ranking(ranked, model)
         assert payload["entries"] == [
-            {"rank": e.rank, "case_id": e.case_id, "score": e.score}
-            for e in ranked.entries]
+            {"rank": rank, "case_id": cid, "score": score}
+            for rank, (cid, score) in enumerate(
+                zip(ranked.case_ids, ranked.scores.tolist()), start=1)]
 
     def test_non_finite_scores(self, fitted):
         _, model, _, _ = fitted
         ranked = adversarial_ranking("c2", scores=[-np.inf, 0.5, np.inf, np.nan, 1.0])
-        text = reports.ranking_json(ranked, model)
-        assert text == reports.to_json_text(reports.ranking_payload(ranked, model))
-        assert [e["score"] for e in json.loads(text)["entries"]] == \
+        written = write_ranking(ranked, model)
+        assert written == references(ranked, model)
+        assert [e["score"] for e in json.loads(written["json"])["entries"]] == \
             [None, 0.5, None, None, 1.0]
-        assert reports.ranking_csv(ranked) == csv_writer_ranking(ranked)
 
-    def test_json_peak_memory_is_a_few_times_the_output(self, fitted):
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_any_block_size_writes_the_same_bytes(self, fitted, monkeypatch, block):
         _, model, _, _ = fitted
-        n = 20_000
-        ranked = RankedIndex(factor=1, direction="descending",
-                             case_ids=tuple(f"tract_{i:06d}" for i in range(n)),
-                             scores=np.random.RandomState(31).randn(n))
-        tracemalloc.start()
-        try:
-            text = reports.ranking_json(ranked, model)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 5 * len(text)
+        monkeypatch.setattr(reports, "_BLOCK_RANKS", block)
+        ids = [cid for cid in ADVERSARIAL_IDS.values() if csv_writer_accepts(cid)]
+        for n in range(3, 8):
+            for bad in range(n):
+                # One non-finite score, so only one block holds one.
+                scores = [0.1 * i - 0.25 for i in range(n)]
+                scores[bad] = (np.nan, np.inf, -np.inf)[bad % 3]
+                ranked = RankedIndex(factor=1, direction="descending",
+                                     case_ids=(ids * 2)[bad:bad + n], scores=scores)
+                for grouped in (ranked, with_groups(ranked, n // 2)):
+                    expected = references(grouped, model)
+                    assert write_ranking(grouped, model) == expected
+                    for fmt in expected:
+                        assert write_ranking(grouped, model, [fmt])[fmt] == expected[fmt]
+
+    def test_peak_memory_does_not_grow_with_the_cases(self, fitted, monkeypatch):
+        # Small blocks give both sizes many blocks, at a fraction of the
+        # time that tracemalloc takes over tens of thousands of ranks.
+        monkeypatch.setattr(reports, "_BLOCK_RANKS", 64)
+        _, model, _, _ = fitted
+        peaks = []
+        for n in (2_000, 8_000):
+            ranked = with_groups(RankedIndex(
+                factor=1, direction="descending",
+                case_ids=tuple(f"tract_{i:06d}" for i in range(n)),
+                scores=np.random.RandomState(31).randn(n)), 10)
+            streams = {"json": _Sink(), "csv": _Sink(), "text": _Sink()}
+            tracemalloc.start()
+            try:
+                reports.write_ranking(ranked, model, streams)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 class TestComparisonExports:
@@ -233,8 +303,7 @@ class TestComparisonExports:
         assert reports.record_json(model) == \
             reports.record_json(model)
         assert reports.comparison_csv(report) == reports.comparison_csv(report)
-        assert reports.ranking_text(ranked, model) == \
-            reports.ranking_text(ranked, model)
+        assert write_ranking(ranked, model) == write_ranking(ranked, model)
 
 
 class TestJsonSchemas:
