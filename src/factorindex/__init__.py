@@ -12,9 +12,8 @@ from .factors import (FactorModel, FactorScores, build_factor_model,
 from .inference import (GroupComparisonReport, GroupDescriptives, LeveneResult,
                         TTestResult, compare_groups, group_descriptives,
                         levene_test, t_test_pooled, t_test_welch)
-from .numkernel import (EigenDecomposition, f_tail_p, invert_spd,
-                        reg_incomplete_beta, sym_eigen, t_quantile,
-                        t_two_tailed_p)
+from .numkernel import (f_tail_p, invert_spd, reg_incomplete_beta, sym_eigen,
+                        t_quantile, t_two_tailed_p)
 from .ranking import RankedIndex, rank_by_factor, with_groups
 from .config import PipelineConfig, config_from_dict, load_config
 from .pipeline import PipelineResult, run_pipeline
@@ -30,7 +29,7 @@ __all__ = [
     "GroupComparisonReport", "GroupDescriptives", "LeveneResult", "TTestResult",
     "compare_groups", "group_descriptives", "levene_test", "t_test_pooled",
     "t_test_welch",
-    "EigenDecomposition", "f_tail_p", "invert_spd", "reg_incomplete_beta",
+    "f_tail_p", "invert_spd", "reg_incomplete_beta",
     "sym_eigen", "t_quantile", "t_two_tailed_p",
     "RankedIndex", "rank_by_factor", "with_groups",
     "PipelineConfig", "config_from_dict", "load_config",

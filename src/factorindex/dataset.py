@@ -19,7 +19,6 @@ import numpy as np
 from .errors import ValidationError
 
 _MIN_CASES = 3
-_MIN_VARIABLES = 2
 _ZERO_SD = 1e-12
 _CHUNK_CELLS = 4096  # cells per parse block; bounds the text held at once
 
@@ -33,7 +32,9 @@ class IndicatorDataset:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        # C order fixes the summation order of every column statistic, so
+        # the artifact bytes depend on it; load_csv's buffer is not copied.
+        values = np.ascontiguousarray(self.values, dtype=float)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "case_ids", tuple(self.case_ids))
         object.__setattr__(self, "indicator_names", tuple(self.indicator_names))
@@ -45,8 +46,8 @@ class IndicatorDataset:
             )
         if n < _MIN_CASES:
             raise ValidationError(f"need at least {_MIN_CASES} cases, got {n}")
-        if p < _MIN_VARIABLES:
-            raise ValidationError(f"need at least {_MIN_VARIABLES} indicators, got {p}")
+        if p < 1:
+            raise ValidationError(f"need at least 1 indicator, got {p}")
         dup = first_duplicate(self.case_ids)
         if dup is not None:
             raise ValidationError(f"duplicate case id: {dup!r}")
@@ -307,8 +308,7 @@ def select_variables(ds, names):
     return IndicatorDataset(
         case_ids=ds.case_ids,
         indicator_names=tuple(names),
-        # C order, unlike fancy-indexed columns; the bytes depend on it.
-        values=ds.values[:, columns].copy(),
+        values=ds.values[:, columns],
     )
 
 

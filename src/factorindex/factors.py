@@ -303,6 +303,9 @@ def build_factor_model(z, retention_rule="kaiser", retention_k=None,
                        rotation_tol=DEFAULT_ROTATION_TOL,
                        rotation_max_iter=DEFAULT_MAX_SWEEPS):
     """Run extraction, rotation, diagnostics, and score coefficients in order."""
+    p = len(z.indicator_names)
+    if p < 2:  # KMO needs an off-diagonal correlation
+        raise ValidationError(f"need at least 2 indicators, got {p}")
     if rotation_method not in ("varimax", "none"):
         raise ValidationError(f"unknown rotation method {rotation_method!r}")
     r = with_stage("correlation", correlation_matrix, z)

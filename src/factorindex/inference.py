@@ -181,6 +181,8 @@ def compare_groups(ds, group1_ids, group2_ids, variables=None, alpha=0.05,
                    levene_center="mean"):
     """Per-variable two-group comparison over an indicator dataset.
 
+    ``variables`` names the compared columns of ``ds``, in report order;
+    None compares every column, without a copy. One column is enough.
     Descriptives are computed on raw values. Levene and both t-tests run on
     z-scores taken over ``standardize_scope``: ``"selected"`` standardizes
     over just the compared cases, ``"all"`` over the whole dataset. The
@@ -217,8 +219,7 @@ def compare_groups(ds, group1_ids, group2_ids, variables=None, alpha=0.05,
     row_of = {cid: i for i, cid in enumerate(sub.case_ids)}
     rows1 = [row_of[cid] for cid in group1_ids]
     rows2 = [row_of[cid] for cid in group2_ids]
-    # C order fixes the summation order of the column means and sds below.
-    raw = np.ascontiguousarray(sub.values)
+    raw = sub.values
 
     scope = raw[rows1 + rows2, :] if standardize_scope == "selected" else raw
     scope_means = scope.mean(axis=0)

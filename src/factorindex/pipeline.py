@@ -1,14 +1,18 @@
 """End-to-end orchestration: load -> factor model -> ranking -> comparison.
 
 A run can stop early (``factors``, ``rank``) or compare explicit groups
-without a factor model (``compare``). Report files are written only after
-every computation has succeeded, and then all of them or none: each is
-written whole into a temporary directory inside ``out_dir``, and only when
-every one is complete, and no target path is a directory, is each moved
-into place with ``os.replace``. A run that fails leaves the files already in
-``out_dir`` as they were, and removes ``out_dir`` if the run created it and
-it is still empty.
-Outputs are byte-deterministic for identical inputs and config.
+without a factor model (``compare``). The loaded table is the run's one
+dataset: ``variables`` narrows only the factor model's input, and the
+comparison takes the ``comparison.variables`` columns from the whole table,
+or the factor model's columns when that key is unset.
+
+Report files are written only after every computation has succeeded, and
+then all of them or none: each is written whole into a temporary directory
+inside ``out_dir``, and only when every one is complete, and no target path
+is a directory, is each moved into place with ``os.replace``. A run that
+fails leaves the files already in ``out_dir`` as they were, and removes
+``out_dir`` if the run created it and it is still empty. Outputs are
+byte-deterministic for identical inputs and config.
 """
 
 import errno
@@ -58,16 +62,20 @@ def run_pipeline(config, stage="analyze"):
                               "comparison.group2 id lists")
     ds = load_csv(config.input, id_column=config.id_column,
                   missing_policy=config.missing_policy)
-    if config.variables is not None:
-        ds = select_variables(ds, config.variables)
+    model_ds = (ds if config.variables is None
+                else select_variables(ds, config.variables))
+    # Unset, the comparison takes the factor model's table itself, not a
+    # copy, and the whole table is freed.
+    compared = model_ds if config.compare_variables is None else ds
+    del ds
 
     if ranks:
         # Before the factor model, so a singular R cannot mask a bad k.
-        check_group_size(config.ranking_k, ds.n_cases)
+        check_group_size(config.ranking_k, model_ds.n_cases)
 
     model = ranked = comparison = None
     if stage != "compare":
-        z = with_stage("standardize", standardize, ds)
+        z = with_stage("standardize", standardize, model_ds)
         model = build_factor_model(
             z,
             retention_rule=config.retention_rule,
@@ -87,7 +95,7 @@ def run_pipeline(config, stage="analyze"):
 
     if stage in ("analyze", "compare"):
         comparison = with_stage(
-            "comparison", compare_groups, ds, *groups,
+            "comparison", compare_groups, compared, *groups,
             variables=config.compare_variables, alpha=config.alpha,
             alpha_levene=config.alpha_levene, ci_level=config.ci_level,
             standardize_scope=config.standardize_scope,

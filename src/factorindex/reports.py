@@ -156,30 +156,6 @@ def top_loading_variables(model, factor, count=3):
     return [(model.indicator_names[i], float(column[i])) for i in order[:count]]
 
 
-def _ranking_payload(ranked, model, entries):
-    return {
-        "factor": int(ranked.factor),
-        "direction": ranked.direction,
-        "entries": entries,
-        "group_size": None if ranked.group_size is None else int(ranked.group_size),
-        "group1_ids": list(ranked.group1_ids),
-        "group2_ids": list(ranked.group2_ids),
-        "top_loadings": [
-            {"variable": name, "loading": _clean(value)}
-            for name, value in top_loading_variables(model, ranked.factor)
-        ],
-    }
-
-
-def ranking_payload(ranked, model):
-    """The ranking.json document as one dict, one dict per rank."""
-    return _ranking_payload(ranked, model, [
-        {"rank": rank, "case_id": cid, "score": _clean(score)}
-        for rank, cid, score in zip(range(1, ranked.n_cases + 1), ranked.case_ids,
-                                    ranked.scores.tolist())
-    ])
-
-
 # to_json_text puts each top-level key on its own line; a JSON string never
 # holds a raw newline, so this line occurs once.
 _EMPTY_ENTRIES = '\n  "entries": [],\n'
@@ -216,8 +192,9 @@ def write_ranking(ranked, model, streams):
     to an open text stream. The ranks go out in blocks of ``_BLOCK_RANKS``;
     each block's scores are formatted once, with ``float.__repr__``, and
     that text serves JSON and CSV alike (a non-finite score is ``null`` in
-    JSON). The bytes are those of ``to_json_text(ranking_payload(...))``,
-    of ``csv.writer`` over ``(rank, case_id, repr(score))`` rows under a
+    JSON). The bytes are those of ``to_json_text`` over the whole document
+    with one ``{"rank", "case_id", "score"}`` dict per entry, of
+    ``csv.writer`` over ``(rank, case_id, repr(score))`` rows under a
     ``rank,case_id,score`` header, and of the aligned text table.
     """
     json_out = streams.get("json")
@@ -225,8 +202,17 @@ def write_ranking(ranked, model, streams):
     text_out = streams.get("text")
     n = ranked.n_cases
     if json_out is not None:
-        head, _, json_tail = to_json_text(
-            _ranking_payload(ranked, model, [])).partition(_EMPTY_ENTRIES)
+        head, _, json_tail = to_json_text({
+            "factor": int(ranked.factor),
+            "direction": ranked.direction,
+            "entries": [],
+            "group_size": None if ranked.group_size is None else int(ranked.group_size),
+            "group1_ids": list(ranked.group1_ids),
+            "group2_ids": list(ranked.group2_ids),
+            "top_loadings": [
+                {"variable": name, "loading": _clean(value)}
+                for name, value in top_loading_variables(model, ranked.factor)],
+        }).partition(_EMPTY_ENTRIES)
         json_out.write(head + '\n  "entries": [')
     if csv_out is not None:
         writer = csv.writer(csv_out, lineterminator="\n")

@@ -72,3 +72,31 @@ def worst_congruence(generator, loadings):
         used.add(best_j)
         worst = min(worst, best)
     return worst
+
+
+def _json_number(x):
+    """A float, or None (JSON null) where it is not finite."""
+    x = float(x)
+    return x if math.isfinite(x) else None
+
+
+def ranking_payload(ranked, model):
+    """The ranking.json document built whole, one dict per rank.
+
+    The top loadings are the three largest |rotated loadings| on the ranked
+    factor, ties to the earlier variable, by a stable sort.
+    """
+    column = np.asarray(model.loadings_rotated, dtype=float)[:, ranked.factor - 1]
+    top = np.argsort(-np.abs(column), kind="stable")[:3]
+    return {
+        "factor": ranked.factor,
+        "direction": ranked.direction,
+        "entries": [{"rank": rank, "case_id": cid, "score": _json_number(score)}
+                    for rank, (cid, score) in enumerate(
+                        zip(ranked.case_ids, ranked.scores.tolist()), start=1)],
+        "group_size": ranked.group_size,
+        "group1_ids": list(ranked.group1_ids),
+        "group2_ids": list(ranked.group2_ids),
+        "top_loadings": [{"variable": model.indicator_names[i],
+                          "loading": _json_number(column[i])} for i in top],
+    }

@@ -179,6 +179,19 @@ class TestAnalyze:
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes(), name
 
+    def test_compare_variables_need_not_be_analysis_variables(self, table_csv,
+                                                              tmp_path):
+        _, names, _ = make_table()
+        chosen, compared = list(names[:6]), [names[20], names[2], names[30]]
+        out = tmp_path / "out"
+        assert main(["analyze", "--input", table_csv, "--out-dir", str(out),
+                     "--variables", ",".join(chosen),
+                     "--compare-variables", ",".join(compared)]) == 0
+        model = json.loads((out / "factor_model.json").read_text())
+        comparison = json.loads((out / "comparison.json").read_text())
+        assert model["indicator_names"] == chosen
+        assert [v["name"] for v in comparison["variables"]] == compared
+
     def test_missing_input_exits_2(self, capsys):
         assert main(["analyze"]) == 2
         assert "input" in capsys.readouterr().err
@@ -240,6 +253,41 @@ class TestSubcommands:
         err = capsys.readouterr().err
         assert err == "error: group 1 repeats case id 'Community_01'\n"
         assert not out.exists()
+
+    def test_compare_one_variable(self, table_csv, tmp_path):
+        ids, names, _ = make_table()
+        out = tmp_path / "cmp"
+        assert main(["compare", "--input", table_csv, "--out-dir", str(out),
+                     "--group1", ",".join(ids[:10]), "--group2", ",".join(ids[-10:]),
+                     "--compare-variables", names[1]]) == 0
+        parsed = json.loads((out / "comparison.json").read_text())
+        assert [v["name"] for v in parsed["variables"]] == [names[1]]
+
+    def test_empty_compare_variables_exit_2(self, table_csv, tmp_path, capsys):
+        out = tmp_path / "cmp"
+        assert main(["analyze", "--input", table_csv, "--out-dir", str(out),
+                     "--compare-variables", ""]) == 2
+        assert capsys.readouterr().err == "error: need at least 1 indicator, got 0\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["compare", "factors", "rank", "analyze"])
+    def test_one_indicator_table(self, tmp_path, capsys, command):
+        ids, _, values = make_table()
+        path = write_table_csv(tmp_path / "one.csv", ids, ["x"], values[:, :1])
+        out = tmp_path / "out"
+        argv = [command, "--input", path, "--out-dir", str(out)]
+        if command == "compare":
+            argv += ["--group1", ",".join(ids[:10]), "--group2", ",".join(ids[-10:])]
+        rc = main(argv)
+        err = capsys.readouterr().err
+        if command == "compare":
+            assert rc == 0
+            parsed = json.loads((out / "comparison.json").read_text())
+            assert [v["name"] for v in parsed["variables"]] == ["x"]
+        else:
+            assert rc == 2
+            assert err == "error: need at least 2 indicators, got 1\n"
+            assert not out.exists()
 
     def test_compare_requires_groups(self, table_csv, capsys):
         assert main(["compare", "--input", table_csv]) == 2

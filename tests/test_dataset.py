@@ -207,9 +207,18 @@ class TestDatasetInvariants:
         with pytest.raises(ValidationError, match="at least 3 cases"):
             dataset_from(["a", "b"], ["x", "y"], [[1, 2], [3, 4]])
 
-    def test_too_few_indicators(self):
-        with pytest.raises(ValidationError, match="at least 2 indicators"):
-            dataset_from(["a", "b", "c"], ["x"], [[1], [2], [3]])
+    def test_no_indicators(self):
+        with pytest.raises(ValidationError, match="need at least 1 indicator, got 0"):
+            dataset_from(["a", "b", "c"], [], np.empty((3, 0)))
+
+    def test_values_are_c_ordered_and_loaded_values_not_copied(self, tmp_path):
+        ds = dataset_from(["a", "b", "c"], ["x", "y"],
+                          np.asfortranarray([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
+        assert ds.values.flags.c_contiguous
+        path = write_table_csv(tmp_path / "t.csv", ["a", "b", "c"], ["x", "y"],
+                               [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        values = load_csv(path).values
+        assert values.flags.c_contiguous and not values.flags.owndata  # the parse buffer
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValidationError, match="non-finite"):

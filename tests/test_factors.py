@@ -320,6 +320,12 @@ class TestBuildFactorModel:
         assert "loadings_unrotated" in arrays and "per_variable" in arrays
         assert [name for name, a in arrays.items() if a.flags.writeable] == []
 
+    def test_one_indicator_is_too_few(self):
+        # KMO needs an off-diagonal correlation.
+        z = standardize(dataset_from(["a", "b", "c"], ["x"], [[1], [2], [4]]))
+        with pytest.raises(ValidationError, match="need at least 2 indicators, got 1"):
+            build_factor_model(z)
+
     def test_planted_structure_recovery(self):
         gen, x = planted_structure(seed=2024)
         ds = dataset_from([f"c{i}" for i in range(x.shape[0])],

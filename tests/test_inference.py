@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -316,3 +317,13 @@ class TestCompareGroups:
         report = compare_groups(ds, ds.case_ids[:10], ds.case_ids[10:],
                                 variables=["v3", "v0", "v4"])
         assert [r.name for r in report.variables] == ["v3", "v0", "v4"]
+
+    def test_all_variables_are_read_without_a_copy(self):
+        ds = two_group_dataset(np.random.RandomState(79), n=10_000, p=40)
+        tracemalloc.start()
+        try:
+            compare_groups(ds, ds.case_ids[:10], ds.case_ids[-10:])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < ds.values.nbytes, (peak, ds.values.nbytes)

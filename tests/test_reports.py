@@ -13,6 +13,7 @@ from factorindex.inference import compare_groups
 from factorindex.ranking import RankedIndex, rank_by_factor, with_groups
 
 from conftest import dataset_from, make_table
+from oracles import ranking_payload
 
 
 @pytest.fixture(scope="module")
@@ -104,7 +105,7 @@ class TestRankingExports:
 
     def test_json_groups(self, fitted):
         _, model, ranked, _ = fitted
-        payload = reports.ranking_payload(ranked, model)
+        payload = json.loads(write_ranking(ranked, model, ["json"])["json"])
         assert payload["group_size"] == 10
         assert payload["group1_ids"] == list(ranked.group1_ids)
         assert len(payload["top_loadings"]) == 3
@@ -160,7 +161,8 @@ def text_ranking(ranked, model):
 
 
 def references(ranked, model):
-    return {"json": reports.to_json_text(reports.ranking_payload(ranked, model)),
+    return {"json": json.dumps(ranking_payload(ranked, model), indent=2,
+                               sort_keys=True) + "\n",
             "csv": csv_writer_ranking(ranked), "text": text_ranking(ranked, model)}
 
 
@@ -181,7 +183,7 @@ class _Sink:
 
 class TestWriteRanking:
     """write_ranking streams the ranking columns in blocks; the bytes must be
-    those of to_json_text(ranking_payload(...)), of csv.writer and of the
+    those of json.dumps(ranking_payload(...)), of csv.writer and of the
     line-by-line text layout, whatever the block size."""
 
     CASES = [[cid] for cid in ADVERSARIAL_IDS.values()] + [list(ADVERSARIAL_IDS.values())]
@@ -202,9 +204,9 @@ class TestWriteRanking:
     def test_json_and_text_equal_the_references(self, fitted, case_ids):
         _, model, _, _ = fitted
         ranked = adversarial_ranking(*case_ids)
-        payload = reports.ranking_payload(ranked, model)
+        payload = ranking_payload(ranked, model)
         written = write_ranking(ranked, model, ["json", "text"])
-        assert written["json"] == reports.to_json_text(payload)
+        assert written["json"] == json.dumps(payload, indent=2, sort_keys=True) + "\n"
         assert written["text"] == text_ranking(ranked, model)
         assert payload["entries"] == [
             {"rank": rank, "case_id": cid, "score": score}
