@@ -308,7 +308,7 @@ def select_variables(ds, names):
     return IndicatorDataset(
         case_ids=ds.case_ids,
         indicator_names=tuple(names),
-        values=ds.values[:, columns],
+        values=ds.values.take(columns, axis=1),
     )
 
 

@@ -284,18 +284,22 @@ def factor_scores(z, w):
 
 
 def _singular_cause(r, z):
-    """Why R is singular, if it has fewer cases than variables or two
-    indicators that are one up to rounding (|r| >= 1 - 1e-12); else None."""
+    """Why R is singular, if it has fewer cases than variables or a null
+    space (eigenvalues <= 1e-12, invert_spd's bound); else None. The
+    indicators named are those with an entry above 1e-6 in a null vector."""
     n, p = z.values.shape
     if n <= p:
         return (f"the correlation matrix is singular: {n} cases for {p} "
                 "variables; add cases or select fewer variables with --variables")
-    rows, cols = np.nonzero(np.triu(np.abs(r) >= 1.0 - 1e-12, 1))
-    if rows.size:
-        first, second = z.indicator_names[rows[0]], z.indicator_names[cols[0]]
-        return (f"the correlation matrix is singular: {first} and {second} are "
-                "collinear (|r| >= 1 - 1e-12); drop one of them")
-    return None
+    decomp = sym_eigen(r)
+    null = decomp.eigenvectors[:, decomp.eigenvalues <= 1e-12]
+    if not null.size:
+        return None
+    # A null vector has at least two such entries: R's diagonal is 1.
+    *names, last = (z.indicator_names[j]
+                    for j in np.flatnonzero(np.any(np.abs(null) > 1e-6, axis=1)))
+    return (f"the correlation matrix is singular: {', '.join(names)} and {last} "
+            "are collinear; drop one of them")
 
 
 def build_factor_model(z, retention_rule="kaiser", retention_k=None,

@@ -129,7 +129,7 @@ def _finish_t(delta, se, df, level, variant):
             # Equal means, zero spread: report a null result rather than
             # aborting a multi-variable comparison.
             return TTestResult(
-                t=0.0, df=df, p_two_tailed=1.0, mean_difference=0.0,
+                t=0.0, df=float(df), p_two_tailed=1.0, mean_difference=0.0,
                 se_difference=0.0, ci_low=0.0, ci_high=0.0,
                 level=level, variant=variant, degenerate=True,
             )

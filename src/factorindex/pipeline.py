@@ -11,7 +11,10 @@ then all of them or none: each is written whole into a temporary directory
 inside ``out_dir``, and only when every one is complete, and no target path
 is a directory, is each moved into place with ``os.replace``. A run that
 fails leaves the files already in ``out_dir`` as they were, and removes
-``out_dir`` if the run created it and it is still empty. Outputs are
+``out_dir`` if the run created it and it is still empty. After the moves,
+each name in ``_ARTIFACTS`` that this run did not write is removed from
+``out_dir`` if it is a regular file or a symlink (not the symlink's target),
+so ``out_dir`` holds one run; a directory at such a name stays. Outputs are
 byte-deterministic for identical inputs and config.
 """
 
@@ -106,26 +109,57 @@ def run_pipeline(config, stage="analyze"):
                           comparison=comparison, files=tuple(files))
 
 
-_RANKING_FILES = (("json", "ranking.json"), ("csv", "ranking.csv"),
-                  ("text", "ranking.txt"))
+# Every file a run can write, in listing order: (name, format, result,
+# reports function that renders it). run_summary.json has no format: every
+# run writes it. The ranking files have no renderer, because
+# reports.write_ranking writes them together in one pass.
+_ARTIFACTS = (
+    ("factor_model.json", "json", "model", "record_json"),
+    ("factor_model.csv", "csv", "model", "loadings_csv"),
+    ("factor_model_eigenvalues.csv", "csv", "model", "eigenvalues_csv"),
+    ("factor_model_communalities.csv", "csv", "model", "communalities_csv"),
+    ("factor_model_coefficients.csv", "csv", "model", "score_coefficients_csv"),
+    ("factor_model.txt", "text", "model", "factor_model_text"),
+    ("ranking.json", "json", "ranked", None),
+    ("ranking.csv", "csv", "ranked", None),
+    ("ranking.txt", "text", "ranked", None),
+    ("comparison.json", "json", "comparison", "record_json"),
+    ("comparison.csv", "csv", "comparison", "comparison_csv"),
+    ("comparison.txt", "text", "comparison", "comparison_text"),
+    ("run_summary.json", None, "summary", "to_json_text"),
+)
 
 
 def _write_outputs(config, model, ranked, comparison):
-    """Write every artifact into a temporary directory inside ``out_dir``,
-    then move each into place; return the paths in write order."""
+    """Write this run's artifacts into a temporary directory inside
+    ``out_dir``, move each into place, then remove the other artifact names;
+    return the paths in listing order."""
+    results = {"model": model, "ranked": ranked, "comparison": comparison,
+               "summary": run_summary(config)}
+    chosen = [row for row in _ARTIFACTS
+              if row[1] in config.formats + (None,) and results[row[2]] is not None]
     out_dir = config.out_dir
     created = not os.path.isdir(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     tmp = tempfile.mkdtemp(dir=out_dir)
     try:
-        names = _write_artifacts(tmp, config, model, ranked, comparison)
-        targets = [os.path.join(out_dir, name) for name in names]
-        for target in targets:
-            if os.path.isdir(target):
+        with ExitStack() as stack:
+            ranking = {}  # format -> open stream, for one write_ranking pass
+            for name, fmt, key, renderer in chosen:
+                if renderer is None:
+                    ranking[fmt] = stack.enter_context(_open(tmp, name))
+                    continue
+                with _open(tmp, name) as stream:
+                    # Looked up per call, so a wrapped reports function is used.
+                    stream.write(getattr(reports, renderer)(results[key]))
+            if ranking:
+                reports.write_ranking(ranked, model, ranking)
+        for name, *_ in chosen:
+            if os.path.isdir(os.path.join(out_dir, name)):
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
-                                        target)
-        for name, target in zip(names, targets):
-            os.replace(os.path.join(tmp, name), target)
+                                        os.path.join(out_dir, name))
+        for name, *_ in chosen:
+            os.replace(os.path.join(tmp, name), os.path.join(out_dir, name))
     except BaseException:
         shutil.rmtree(tmp, ignore_errors=True)
         if created:
@@ -134,48 +168,11 @@ def _write_outputs(config, model, ranked, comparison):
                 os.rmdir(out_dir)
         raise
     os.rmdir(tmp)
-    return targets
-
-
-def _write_artifacts(directory, config, model, ranked, comparison):
-    """Write the requested artifacts into ``directory``; return their names."""
-    formats = config.formats
-    files = []  # (filename, text); write_ranking writes the ranking files
-    if model is not None:
-        if "json" in formats:
-            files.append(("factor_model.json", reports.record_json(model)))
-        if "csv" in formats:
-            files.append(("factor_model.csv", reports.loadings_csv(model)))
-            files.append(("factor_model_eigenvalues.csv",
-                          reports.eigenvalues_csv(model)))
-            files.append(("factor_model_communalities.csv",
-                          reports.communalities_csv(model)))
-            files.append(("factor_model_coefficients.csv",
-                          reports.score_coefficients_csv(model)))
-        if "text" in formats:
-            files.append(("factor_model.txt", reports.factor_model_text(model)))
-    if ranked is not None:
-        ranking = {fmt: name for fmt, name in _RANKING_FILES if fmt in formats}
-        files += [(name, None) for name in ranking.values()]
-    if comparison is not None:
-        if "json" in formats:
-            files.append(("comparison.json", reports.record_json(comparison)))
-        if "csv" in formats:
-            files.append(("comparison.csv", reports.comparison_csv(comparison)))
-        if "text" in formats:
-            files.append(("comparison.txt", reports.comparison_text(comparison)))
-    files.append(("run_summary.json", reports.to_json_text(run_summary(config))))
-
-    for name, text in files:
-        if text is not None:
-            with _open(directory, name) as fh:
-                fh.write(text)
-    if ranked is not None:
-        with ExitStack() as stack:
-            reports.write_ranking(ranked, model, {
-                fmt: stack.enter_context(_open(directory, name))
-                for fmt, name in ranking.items()})
-    return [name for name, _ in files]
+    for name, *_ in (row for row in _ARTIFACTS if row not in chosen):
+        stale = os.path.join(out_dir, name)
+        if os.path.islink(stale) or os.path.isfile(stale):
+            os.remove(stale)
+    return [os.path.join(out_dir, name) for name, *_ in chosen]
 
 
 def _open(directory, name):

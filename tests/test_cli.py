@@ -4,6 +4,7 @@ import errno
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -13,6 +14,7 @@ import pytest
 
 import factorindex
 from factorindex import config as config_module
+from factorindex import pipeline
 from factorindex import reports
 from factorindex.cli import build_parser, main
 from factorindex.config import PipelineConfig, config_from_dict
@@ -143,11 +145,12 @@ class TestAnalyze:
         assert "Ind03 and Copy03 are collinear" in err
         assert "smallest eigenvalue" not in err
 
-    def test_other_singular_cause_keeps_the_eigenvalue(self, tmp_path, capsys):
+    def test_a_column_summing_two_others_names_all_three(self, tmp_path, capsys):
         ids, names, values = make_table()
         values = np.column_stack([values, values[:, 0] + values[:, 1]])
         err = self.singular_run(tmp_path, capsys, ids, names + ("Sum01",), values)
-        assert "smallest eigenvalue" in err
+        assert "Ind00, Ind01 and Sum01 are collinear; drop one of them" in err
+        assert "smallest eigenvalue" not in err
 
     def test_factor_beyond_retained_count_exits_2(self, table_csv, tmp_path,
                                                   capsys):
@@ -420,7 +423,8 @@ def snapshot(directory):
 
 
 class TestAllOrNone:
-    """A run that fails in the write step leaves --out-dir as it found it."""
+    """A run that fails in the write step leaves --out-dir as it found it;
+    one that succeeds leaves it holding that run's files only."""
 
     ALL_FORMATS = ["--format", "json", "--format", "csv", "--format", "text"]
 
@@ -473,6 +477,110 @@ class TestAllOrNone:
             assert sorted(os.listdir(out)) == ["notes.txt"]
         else:
             assert not out.exists()
+
+    # After the moves, factorindex's artifact names that this run did not
+    # write go from --out-dir: regular files and symlinks, never a directory.
+
+    def factors_json(self, table_csv, out, capsys):
+        capsys.readouterr()
+        rc = main(["factors", "--input", table_csv, "--out-dir", str(out)])
+        return rc, capsys.readouterr()
+
+    def test_fewer_formats_leave_only_this_runs_files(self, table_csv, tmp_path,
+                                                      capsys):
+        out = tmp_path / "out"
+        self.earlier_run(table_csv, out)
+        (out / "notes.txt").write_text("kept\n")
+        rc, captured = self.factors_json(table_csv, out, capsys)
+        assert rc == 0
+        written = ["factor_model.json", "run_summary.json"]
+        assert captured.out.splitlines() == [str(out / name) for name in written]
+        assert sorted(os.listdir(out)) == sorted(written + ["notes.txt"])
+        assert (out / "notes.txt").read_text() == "kept\n"
+
+    def test_a_directory_at_a_stale_name_stays(self, table_csv, tmp_path, capsys):
+        out = tmp_path / "out"
+        self.earlier_run(table_csv, out)
+        (out / "ranking.csv").unlink()
+        (out / "ranking.csv").mkdir()
+        (out / "ranking.csv" / "inside.txt").write_text("kept\n")
+        rc, captured = self.factors_json(table_csv, out, capsys)
+        assert rc == 0
+        assert str(out / "ranking.csv") not in captured.out.splitlines()
+        assert (out / "ranking.csv" / "inside.txt").read_text() == "kept\n"
+        assert sorted(os.listdir(out)) == ["factor_model.json", "ranking.csv",
+                                           "run_summary.json"]
+
+    @pytest.mark.parametrize("target", ["file", "directory", "dangling"])
+    def test_a_symlink_at_a_stale_name_goes_and_its_target_stays(
+            self, table_csv, tmp_path, capsys, target):
+        out = tmp_path / "out"
+        self.earlier_run(table_csv, out)
+        kept = tmp_path / "kept"
+        if target == "file":
+            kept.write_text("kept\n")
+        elif target == "directory":
+            kept.mkdir()
+        (out / "comparison.txt").unlink()
+        (out / "comparison.txt").symlink_to(kept)
+        rc, _ = self.factors_json(table_csv, out, capsys)
+        assert rc == 0
+        assert not os.path.lexists(out / "comparison.txt")
+        if target == "file":
+            assert kept.read_text() == "kept\n"
+        assert kept.exists() == (target != "dangling")
+
+    def test_a_run_stopped_by_the_directory_check_removes_nothing(
+            self, table_csv, tmp_path, capsys):
+        out = tmp_path / "out"
+        self.earlier_run(table_csv, out)
+        (out / "factor_model.json").unlink()
+        (out / "factor_model.json").mkdir()
+        before = snapshot(out)
+        rc, captured = self.factors_json(table_csv, out, capsys)
+        assert rc == 2
+        assert captured.err == ("error: [Errno 21] Is a directory: "
+                                f"{str(out / 'factor_model.json')!r}\n")
+        assert snapshot(out) == before
+
+    def test_a_removal_that_fails_exits_2_with_one_line(self, table_csv, tmp_path,
+                                                        capsys, monkeypatch):
+        out = tmp_path / "out"
+        self.earlier_run(table_csv, out)
+
+        def refuse(path):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+        monkeypatch.setattr(os, "remove", refuse)
+        rc, captured = self.factors_json(table_csv, out, capsys)
+        assert rc == 2
+        assert captured.err == ("error: [Errno 13] Permission denied: "
+                                f"{str(out / 'factor_model.csv')!r}\n")
+
+
+def test_readme_lists_every_artifact_in_listing_order():
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+        __file__))), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        section = fh.read().split("## Output files\n", 1)[1]
+    rows = section.split("\n\n", 2)[1].splitlines()[2:]  # the table, no header
+    documented = [name for row in rows
+                  for name in re.findall(r"`([^`]+)`", row.split("|")[1])]
+    assert documented == [name for name, *_ in pipeline._ARTIFACTS]
+
+
+def test_numpy_is_the_only_runtime_dependency(table_csv, tmp_path):
+    # scipy and mpmath are installed beside numpy for the tests; a run with
+    # every format must not import either.
+    src = os.path.dirname(os.path.dirname(factorindex.__file__))
+    code = ("import sys; sys.modules['scipy'] = sys.modules['mpmath'] = None; "
+            "from factorindex.cli import main; sys.exit(main(sys.argv[1:]))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "analyze", "--input", table_csv,
+         "--out-dir", str(tmp_path / "out")] + TestAllOrNone.ALL_FORMATS,
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestNotices:

@@ -306,3 +306,19 @@ class TestSelectVariables:
         cols = [ds.indicator_names.index(n) for n in names]
         b = z.values[:, cols]
         np.testing.assert_allclose(a, b, atol=1e-12)
+
+    def test_peak_memory_is_one_copy_of_the_selection(self):
+        # The selected columns are copied once, straight into C order; a
+        # Fortran-ordered copy that IndicatorDataset re-copies peaks at 2.1x.
+        n, p = 2000, 120
+        ds = dataset_from([f"c{i}" for i in range(n)], [f"v{j}" for j in range(p)],
+                          np.random.RandomState(5).randn(n, p))
+        names = [f"v{j}" for j in range(p - 1, 19, -1)]
+        tracemalloc.start()
+        try:
+            sub = select_variables(ds, names)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sub.values.flags.c_contiguous
+        assert peak < 1.5 * sub.values.nbytes, peak / sub.values.nbytes

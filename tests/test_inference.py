@@ -122,14 +122,19 @@ class TestPooledT:
                                                    abs=1e-9)
             assert result.ci_low <= result.mean_difference <= result.ci_high
 
-    def test_degenerate_zero_variance_equal_means(self):
-        result = t_test_pooled([4.0, 4.0, 4.0], [4.0, 4.0])
+    @pytest.mark.parametrize("test", [t_test_pooled, t_test_welch],
+                             ids=["pooled", "welch"])
+    def test_degenerate_zero_variance_equal_means(self, test):
+        result = test([4.0, 4.0, 4.0], [4.0, 4.0])
         assert result.degenerate
         assert result.t == 0.0 and result.p_two_tailed == 1.0
+        assert isinstance(result.df, float) and result.df == 3.0
 
-    def test_degenerate_zero_variance_unequal_means(self):
+    @pytest.mark.parametrize("test", [t_test_pooled, t_test_welch],
+                             ids=["pooled", "welch"])
+    def test_degenerate_zero_variance_unequal_means(self, test):
         with pytest.raises(DegenerateDataError):
-            t_test_pooled([4.0, 4.0], [5.0, 5.0])
+            test([4.0, 4.0], [5.0, 5.0])
 
 
 class TestWelchT:
