@@ -14,7 +14,8 @@ import numpy as np
 
 from .dataset import StandardizedMatrix
 from .errors import NumericalError, ValidationError, with_stage
-from .numkernel import as_matrix, canonical_signs, invert_spd, sym_eigen
+from .numkernel import (_SPD_MIN_EIGENVALUE, as_matrix, canonical_signs,
+                        invert_spd, sym_eigen)
 
 # Fixed-point tolerance for the rotation: a sweep whose largest pairwise
 # angle is below this leaves the loadings unchanged to ~1e-12, which keeps
@@ -292,7 +293,7 @@ def _singular_cause(r, z):
         return (f"the correlation matrix is singular: {n} cases for {p} "
                 "variables; add cases or select fewer variables with --variables")
     decomp = sym_eigen(r)
-    null = decomp.eigenvectors[:, decomp.eigenvalues <= 1e-12]
+    null = decomp.eigenvectors[:, decomp.eigenvalues <= _SPD_MIN_EIGENVALUE]
     if not null.size:
         return None
     # A null vector has at least two such entries: R's diagonal is 1.

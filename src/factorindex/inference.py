@@ -56,13 +56,13 @@ class VariableComparison:
     name: str
     group1: GroupDescriptives
     group2: GroupDescriptives
-    levene: LeveneResult
-    pooled: TTestResult
-    welch: TTestResult
-    reported_variant: str
-    significant: bool
-    significant_at_05: bool
-    significant_at_10: bool
+    levene: LeveneResult = None
+    pooled: TTestResult = None
+    welch: TTestResult = None
+    reported_variant: str = None
+    significant: bool = None
+    significant_at_05: bool = None
+    significant_at_10: bool = None
     degenerate: bool = False
     note: str = None
 
@@ -187,8 +187,10 @@ def compare_groups(ds, group1_ids, group2_ids, variables=None, alpha=0.05,
     z-scores taken over ``standardize_scope``: ``"selected"`` standardizes
     over just the compared cases, ``"all"`` over the whole dataset. The
     reported variant is pooled when Levene's p exceeds ``alpha_levene``,
-    Welch otherwise. A variable that is constant within the scope is marked
-    degenerate and skipped; the rest of the report proceeds.
+    Welch otherwise. A variable whose sd within the scope is at most
+    standardize's zero-variance bound is marked degenerate and skipped; the
+    rest of the report proceeds. Each group's rows are read in its id list's
+    order, whatever the row order of ``ds``.
     """
     if standardize_scope not in ("selected", "all"):
         raise ValidationError(
@@ -198,6 +200,11 @@ def compare_groups(ds, group1_ids, group2_ids, variables=None, alpha=0.05,
         raise ValidationError(f"alpha must be in (0, 1), got {alpha!r}")
     if not 0.0 < alpha_levene < 1.0:
         raise ValidationError(f"alpha_levene must be in (0, 1), got {alpha_levene!r}")
+    if not 0.0 < ci_level < 1.0:
+        raise ValidationError(f"confidence level must be in (0, 1), got {ci_level!r}")
+    if levene_center not in ("mean", "median"):
+        raise ValidationError(
+            f"center must be 'mean' or 'median', got {levene_center!r}")
     group1_ids = tuple(group1_ids)
     group2_ids = tuple(group2_ids)
     overlap = set(group1_ids) & set(group2_ids)
@@ -205,8 +212,8 @@ def compare_groups(ds, group1_ids, group2_ids, variables=None, alpha=0.05,
         raise ValidationError(f"groups overlap: {sorted(overlap)}")
     if len(group1_ids) < 2 or len(group2_ids) < 2:
         raise ValidationError("each group needs at least 2 cases")
-    known = set(ds.case_ids)
-    unknown = (set(group1_ids) | set(group2_ids)) - known
+    row_of = {cid: i for i, cid in enumerate(ds.case_ids)}
+    unknown = {cid for cid in group1_ids + group2_ids if cid not in row_of}
     if unknown:
         raise ValidationError(f"unknown case id(s): {sorted(unknown)}")
     for label, group in (("1", group1_ids), ("2", group2_ids)):
@@ -215,35 +222,30 @@ def compare_groups(ds, group1_ids, group2_ids, variables=None, alpha=0.05,
             raise ValidationError(f"group {label} repeats case id {repeated!r}")
 
     sub = ds if variables is None else ds_mod.select_variables(ds, variables)
+    # Group 1's rows then group 2's, in id-list order; group 1 is block[:n1].
+    n1 = len(group1_ids)
+    block = sub.values[[row_of[cid] for cid in group1_ids + group2_ids]]
+    del row_of  # not held through the scope statistics
 
-    row_of = {cid: i for i, cid in enumerate(sub.case_ids)}
-    rows1 = [row_of[cid] for cid in group1_ids]
-    rows2 = [row_of[cid] for cid in group2_ids]
-    raw = sub.values
-
-    scope = raw[rows1 + rows2, :] if standardize_scope == "selected" else raw
+    scope = block if standardize_scope == "selected" else sub.values
     scope_means = scope.mean(axis=0)
     scope_sds = scope.std(axis=0, ddof=1)
 
     records = []
     for j, name in enumerate(sub.indicator_names):
-        desc1 = group_descriptives(raw[rows1, j])
-        desc2 = group_descriptives(raw[rows2, j])
+        column = block[:, j]
+        desc1 = group_descriptives(column[:n1])
+        desc2 = group_descriptives(column[n1:])
         try:
-            if scope_sds[j] <= 1e-12:
+            if scope_sds[j] <= ds_mod._ZERO_SD:
                 raise DegenerateDataError("constant within the standardization scope")
-            z1 = (raw[rows1, j] - scope_means[j]) / scope_sds[j]
-            z2 = (raw[rows2, j] - scope_means[j]) / scope_sds[j]
-            levene = levene_test(z1, z2, center=levene_center)
-            pooled = t_test_pooled(z1, z2, level=ci_level)
-            welch = t_test_welch(z1, z2, level=ci_level)
+            z = (column - scope_means[j]) / scope_sds[j]
+            levene = levene_test(z[:n1], z[n1:], center=levene_center)
+            pooled = t_test_pooled(z[:n1], z[n1:], level=ci_level)
+            welch = t_test_welch(z[:n1], z[n1:], level=ci_level)
         except DegenerateDataError as exc:
-            records.append(VariableComparison(
-                name=name, group1=desc1, group2=desc2, levene=None,
-                pooled=None, welch=None, reported_variant=None,
-                significant=None, significant_at_05=None, significant_at_10=None,
-                degenerate=True, note=str(exc),
-            ))
+            records.append(VariableComparison(name, desc1, desc2, degenerate=True,
+                                              note=str(exc)))
             continue
         variant = "pooled" if levene.p > alpha_levene else "welch"
         reported = pooled if variant == "pooled" else welch

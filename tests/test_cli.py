@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -97,6 +98,18 @@ class TestAnalyze:
         assert rc == 3
         err = capsys.readouterr().err
         assert "extraction" in err
+        assert not (tmp_path / "y").exists()
+
+    def test_identity_correlation_with_a_fixed_k_exits_3_in_one_line(self, tmp_path,
+                                                                     capsys):
+        # R is the identity: not singular, so KMO's own message stands.
+        path = write_identity_correlation_csv(tmp_path)
+        rc = main(["factors", "--input", path, "--out-dir", str(tmp_path / "y"),
+                   "--retention", "fixed", "--retention-k", "1"])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "numerical failure in diagnostics stage: KMO is undefined: "
+            "all off-diagonal correlations are zero\n")
         assert not (tmp_path / "y").exists()
 
     def test_deterministic_outputs(self, table_csv, tmp_path):
@@ -266,6 +279,37 @@ class TestSubcommands:
         parsed = json.loads((out / "comparison.json").read_text())
         assert [v["name"] for v in parsed["variables"]] == [names[1]]
 
+    def test_compare_variables_build_no_analysis_table(self, tmp_path):
+        # Under compare with --compare-variables, --variables names columns
+        # that nothing reads: they are checked, not copied.
+        rng = np.random.RandomState(11)
+        names = [f"v{j}" for j in range(40)]
+        ids = [f"c{i:04d}" for i in range(3000)]
+        path = write_table_csv(tmp_path / "wide.csv", ids, names, rng.randn(3000, 40))
+        base = ["compare", "--input", path, "--out-dir", str(tmp_path / "out"),
+                "--group1", ",".join(ids[:20]), "--group2", ",".join(ids[-20:]),
+                "--compare-variables", "v30"]
+        peaks = []
+        for extra in ([], ["--variables", ",".join(names[:30])]):
+            tracemalloc.start()
+            try:
+                assert main(base + extra) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0], peaks
+
+    def test_compare_checks_unused_variables(self, table_csv, tmp_path, capsys):
+        ids, names, _ = make_table()
+        out = tmp_path / "cmp"
+        assert main(["compare", "--input", table_csv, "--out-dir", str(out),
+                     "--group1", ",".join(ids[:10]), "--group2", ",".join(ids[-10:]),
+                     "--compare-variables", names[1],
+                     "--variables", f"{names[0]},Indd01"]) == 2
+        assert capsys.readouterr().err == (
+            "error: unknown indicator 'Indd01'; did you mean 'Ind01'?\n")
+        assert not out.exists()
+
     def test_empty_compare_variables_exit_2(self, table_csv, tmp_path, capsys):
         out = tmp_path / "cmp"
         assert main(["analyze", "--input", table_csv, "--out-dir", str(out),
@@ -420,6 +464,62 @@ def snapshot(directory):
     """Every entry of ``directory`` with its bytes (None for a directory)."""
     return {path.name: None if path.is_dir() else path.read_bytes()
             for path in sorted(directory.iterdir())}
+
+
+def numbers(document, path=""):
+    """(path, leaf) for every leaf of a JSON document, in document order."""
+    if isinstance(document, dict):
+        for key, value in document.items():
+            yield from numbers(value, f"{path}.{key}")
+    elif isinstance(document, list):
+        for i, value in enumerate(document):
+            yield from numbers(value, f"{path}[{i}]")
+    else:
+        yield path, document
+
+
+class TestRowOrder:
+    """Shuffling the table's rows changes no result (20 seeded permutations).
+
+    Under ``selected`` the comparison reads each group's rows in its id
+    list's order, so its bytes hold; under ``all`` and in the factor model
+    the column sums run in another order, so floats may move by rounding."""
+
+    def analyze(self, tmp_path, order, scope):
+        ids, names, values = make_table()
+        path = write_table_csv(tmp_path / "shuffled.csv", [ids[i] for i in order],
+                               names, values[order])
+        out = tmp_path / "out"
+        assert main(["analyze", "--input", path, "--out-dir", str(out),
+                     "--standardize-scope", scope]) == 0
+        return {name: (out / name).read_bytes() for name in
+                ("factor_model.json", "ranking.json", "comparison.json")}
+
+    @pytest.mark.parametrize("scope", ["selected", "all"])
+    def test_shuffled_rows_give_the_same_results(self, tmp_path, scope):
+        n = len(make_table()[0])
+        base = self.analyze(tmp_path, np.arange(n), scope)
+        base_ranking = json.loads(base["ranking.json"])
+        for seed in range(20):
+            run = self.analyze(tmp_path, np.random.RandomState(seed).permutation(n),
+                               scope)
+            ranking = json.loads(run["ranking.json"])
+            for key in ("group1_ids", "group2_ids"):
+                assert ranking[key] == base_ranking[key], seed
+            assert ([e["case_id"] for e in ranking["entries"]]
+                    == [e["case_id"] for e in base_ranking["entries"]]), seed
+            if scope == "selected":
+                assert run["comparison.json"] == base["comparison.json"], seed
+                continue
+            for name in ("factor_model.json", "comparison.json", "ranking.json"):
+                got = list(numbers(json.loads(run[name])))
+                want = list(numbers(json.loads(base[name])))
+                assert [p for p, _ in got] == [p for p, _ in want], (seed, name)
+                for (where, a), (_, b) in zip(got, want):
+                    if isinstance(a, float):
+                        assert abs(a - b) <= 1e-12, (seed, name, where, a, b)
+                    else:
+                        assert a == b, (seed, name, where)
 
 
 class TestAllOrNone:

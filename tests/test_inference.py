@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from factorindex.dataset import standardize
 from factorindex.errors import DegenerateDataError, ValidationError
 from factorindex.inference import (compare_groups, group_descriptives,
                                    levene_test, t_test_pooled, t_test_welch)
@@ -315,6 +316,30 @@ class TestCompareGroups:
         assert report.variables[1].degenerate
         assert report.variables[1].pooled is None
         assert not report.variables[0].degenerate
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("ci_level", 7.0, r"confidence level must be in \(0, 1\), got 7.0"),
+        ("levene_center", "bogus",
+         "center must be 'mean' or 'median', got 'bogus'"),
+    ])
+    def test_options_checked_when_every_variable_is_degenerate(self, option, value,
+                                                               message):
+        ids = [f"c{i}" for i in range(6)]
+        ds = dataset_from(ids, ["x"], np.full((6, 1), 2.0))
+        with pytest.raises(ValidationError, match=message):
+            compare_groups(ds, ids[:3], ids[3:], **{option: value})
+
+    @pytest.mark.parametrize("spread, constant", [(1e-12, True), (4e-12, False)])
+    def test_degenerate_bound_is_the_zero_variance_rule(self, spread, constant):
+        ids = [f"c{i}" for i in range(6)]
+        ds = dataset_from(ids, ["x"], spread * np.array([[0.0], [1.0]] * 3))
+        record, = compare_groups(ds, ids[:3], ids[3:]).variables
+        assert record.degenerate == constant
+        if constant:
+            with pytest.raises(ValidationError, match="zero variance: x"):
+                standardize(ds)
+        else:
+            standardize(ds)
 
     def test_variable_order_preserved(self):
         rng = np.random.RandomState(71)
