@@ -46,10 +46,14 @@ class IndicatorDataset:
             )
         if n < _MIN_CASES:
             raise ValidationError(f"need at least {_MIN_CASES} cases, got {n}")
+        if p < 1:
+            raise ValidationError(f"need at least 1 indicator, got {p}")
         dup = first_duplicate(self.case_ids)
         if dup is not None:
             raise ValidationError(f"duplicate case id: {dup!r}")
-        _check_names(self.indicator_names)
+        dup = first_duplicate(self.indicator_names)
+        if dup is not None:
+            raise ValidationError(f"duplicate indicator name: {dup!r}")
         if not np.all(np.isfinite(values)):
             raise ValidationError("dataset contains non-finite values")
         values.setflags(write=False)
@@ -82,15 +86,6 @@ class StandardizedMatrix:
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-
-def _check_names(names):
-    """An indicator list names at least one indicator, and each only once."""
-    if not names:
-        raise ValidationError("need at least 1 indicator, got 0")
-    dup = first_duplicate(names)
-    if dup is not None:
-        raise ValidationError(f"duplicate indicator name: {dup!r}")
 
 
 def first_duplicate(items):
@@ -296,26 +291,24 @@ def standardize(ds):
     )
 
 
-def variable_columns(ds, names):
-    """Column indices of ``names`` in ``ds``, in order. Unknown names raise,
-    suggesting the closest existing indicator; so do a repeated name and an
-    empty list. :func:`select_variables` copies the columns after this."""
+def select_variables(ds, names):
+    """Column subset of ``ds`` in the requested name order.
+
+    Unknown names raise, suggesting the closest existing indicator.
+    """
+    names = list(names)
     index = {name: i for i, name in enumerate(ds.indicator_names)}
+    columns = []
     for name in names:
         if name not in index:
             close = difflib.get_close_matches(name, ds.indicator_names, n=1)
             hint = f"; did you mean {close[0]!r}?" if close else ""
             raise ValidationError(f"unknown indicator {name!r}{hint}")
-    _check_names(names)
-    return [index[name] for name in names]
-
-
-def select_variables(ds, names):
-    """Column subset of ``ds`` in the requested name order, checked by
-    :func:`variable_columns`."""
-    names = tuple(names)
+        columns.append(index[name])
     return IndicatorDataset(
         case_ids=ds.case_ids,
-        indicator_names=names,
-        values=ds.values.take(variable_columns(ds, names), axis=1),
+        indicator_names=tuple(names),
+        values=ds.values.take(columns, axis=1),
     )
+
+

@@ -96,14 +96,23 @@ def group_descriptives(values):
     return GroupDescriptives(n=n, mean=float(arr.mean()), sd=sd, sem=sd / math.sqrt(n))
 
 
+def _check_center(center):
+    if center not in ("mean", "median"):
+        raise ValidationError(f"center must be 'mean' or 'median', got {center!r}")
+
+
+def _check_probability(label, value):
+    if not 0.0 < value < 1.0:
+        raise ValidationError(f"{label} must be in (0, 1), got {value!r}")
+
+
 def levene_test(g1, g2, center="mean"):
     """Levene's equality-of-variances test for two groups.
 
     One-way ANOVA on absolute deviations from each group's center
     (mean for the classic statistic, median for Brown-Forsythe).
     """
-    if center not in ("mean", "median"):
-        raise ValidationError(f"center must be 'mean' or 'median', got {center!r}")
+    _check_center(center)
     a = _as_sample(g1)
     b = _as_sample(g2)
     middle = np.mean if center == "mean" else np.median
@@ -149,8 +158,7 @@ def _finish_t(delta, se, df, level, variant):
 
 def t_test_pooled(g1, g2, level=0.95):
     """Equal-variances two-sample t-test with a confidence interval."""
-    if not 0.0 < level < 1.0:
-        raise ValidationError(f"confidence level must be in (0, 1), got {level!r}")
+    _check_probability("confidence level", level)
     a = _as_sample(g1)
     b = _as_sample(g2)
     n1, n2 = a.size, b.size
@@ -162,8 +170,7 @@ def t_test_pooled(g1, g2, level=0.95):
 
 def t_test_welch(g1, g2, level=0.95):
     """Unequal-variances (Welch) t-test with Satterthwaite degrees of freedom."""
-    if not 0.0 < level < 1.0:
-        raise ValidationError(f"confidence level must be in (0, 1), got {level!r}")
+    _check_probability("confidence level", level)
     a = _as_sample(g1)
     b = _as_sample(g2)
     n1, n2 = a.size, b.size
@@ -196,15 +203,10 @@ def compare_groups(ds, group1_ids, group2_ids, variables=None, alpha=0.05,
         raise ValidationError(
             f"standardize_scope must be 'selected' or 'all', got {standardize_scope!r}"
         )
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must be in (0, 1), got {alpha!r}")
-    if not 0.0 < alpha_levene < 1.0:
-        raise ValidationError(f"alpha_levene must be in (0, 1), got {alpha_levene!r}")
-    if not 0.0 < ci_level < 1.0:
-        raise ValidationError(f"confidence level must be in (0, 1), got {ci_level!r}")
-    if levene_center not in ("mean", "median"):
-        raise ValidationError(
-            f"center must be 'mean' or 'median', got {levene_center!r}")
+    _check_probability("alpha", alpha)
+    _check_probability("alpha_levene", alpha_levene)
+    _check_probability("confidence level", ci_level)
+    _check_center(levene_center)
     group1_ids = tuple(group1_ids)
     group2_ids = tuple(group2_ids)
     overlap = set(group1_ids) & set(group2_ids)

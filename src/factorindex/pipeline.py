@@ -4,8 +4,7 @@ A run can stop early (``factors``, ``rank``) or compare explicit groups
 without a factor model (``compare``). The loaded table is the run's one
 dataset: ``variables`` narrows only the factor model's input, and the
 comparison takes the ``comparison.variables`` columns from the whole table,
-or the factor model's columns when that key is unset. ``compare`` with that
-key set reads no factor-model table, so there ``variables`` is only checked.
+or the factor model's columns when that key is unset.
 
 Report files are written only after every computation has succeeded, and
 then all of them or none: each is written whole into a temporary directory
@@ -31,7 +30,7 @@ import numpy as np
 
 from . import __version__, reports
 from .config import PipelineConfig
-from .dataset import load_csv, select_variables, standardize, variable_columns
+from .dataset import load_csv, select_variables, standardize
 from .errors import ValidationError, with_stage
 from .factors import build_factor_model, factor_scores
 from .inference import compare_groups
@@ -66,13 +65,8 @@ def run_pipeline(config, stage="analyze"):
                               "comparison.group2 id lists")
     ds = load_csv(config.input, id_column=config.id_column,
                   missing_policy=config.missing_policy)
-    if config.variables is None:
-        model_ds = ds
-    elif stage == "compare" and config.compare_variables is not None:
-        variable_columns(ds, config.variables)
-        model_ds = None
-    else:
-        model_ds = select_variables(ds, config.variables)
+    model_ds = (ds if config.variables is None
+                else select_variables(ds, config.variables))
     # Unset, the comparison takes the factor model's table itself, not a
     # copy, and the whole table is freed.
     compared = model_ds if config.compare_variables is None else ds

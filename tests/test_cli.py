@@ -7,7 +7,6 @@ import random
 import re
 import subprocess
 import sys
-import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -278,37 +277,6 @@ class TestSubcommands:
                      "--compare-variables", names[1]]) == 0
         parsed = json.loads((out / "comparison.json").read_text())
         assert [v["name"] for v in parsed["variables"]] == [names[1]]
-
-    def test_compare_variables_build_no_analysis_table(self, tmp_path):
-        # Under compare with --compare-variables, --variables names columns
-        # that nothing reads: they are checked, not copied.
-        rng = np.random.RandomState(11)
-        names = [f"v{j}" for j in range(40)]
-        ids = [f"c{i:04d}" for i in range(3000)]
-        path = write_table_csv(tmp_path / "wide.csv", ids, names, rng.randn(3000, 40))
-        base = ["compare", "--input", path, "--out-dir", str(tmp_path / "out"),
-                "--group1", ",".join(ids[:20]), "--group2", ",".join(ids[-20:]),
-                "--compare-variables", "v30"]
-        peaks = []
-        for extra in ([], ["--variables", ",".join(names[:30])]):
-            tracemalloc.start()
-            try:
-                assert main(base + extra) == 0
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[1] <= 1.1 * peaks[0], peaks
-
-    def test_compare_checks_unused_variables(self, table_csv, tmp_path, capsys):
-        ids, names, _ = make_table()
-        out = tmp_path / "cmp"
-        assert main(["compare", "--input", table_csv, "--out-dir", str(out),
-                     "--group1", ",".join(ids[:10]), "--group2", ",".join(ids[-10:]),
-                     "--compare-variables", names[1],
-                     "--variables", f"{names[0]},Indd01"]) == 2
-        assert capsys.readouterr().err == (
-            "error: unknown indicator 'Indd01'; did you mean 'Ind01'?\n")
-        assert not out.exists()
 
     def test_empty_compare_variables_exit_2(self, table_csv, tmp_path, capsys):
         out = tmp_path / "cmp"
