@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Subcommands mirror the pipeline stages::
+Subcommands mirror the pipeline stages; ``config.COMMANDS`` states the steps
+each one runs, and a subcommand takes the flags of those steps::
 
     factorindex analyze  --config run.json          # full pipeline
     factorindex factors  --input table.csv ...      # stop after factor model
@@ -16,16 +17,9 @@ import sys
 import warnings
 from dataclasses import fields
 
-from .config import PipelineConfig, config_from_dict, load_config
+from .config import COMMANDS, PipelineConfig, config_from_dict, load_config
 from .errors import NumericalError, ValidationError
 from .pipeline import run_pipeline
-
-_COMMANDS = {
-    "analyze": "run the full pipeline",
-    "factors": "stop after the factor model",
-    "rank": "run through the ranking step",
-    "compare": "compare two explicit groups, skipping ranking",
-}
 
 
 def build_parser():
@@ -35,16 +29,14 @@ def build_parser():
                     "comparison for cases-by-indicators tables.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {name: sub.add_parser(name, help=text)
-                for name, text in _COMMANDS.items()}
-    for command in commands.values():
+    for name, (text, steps) in COMMANDS.items():
+        command = sub.add_parser(name, help=text)
         command.add_argument("--config", help="JSON config file")
-    for f in fields(PipelineConfig):
-        meta = f.metadata
-        text = " ".join(filter(None, (meta["help"], f"(config: {meta['key']})")))
-        for name in meta["commands"]:
-            commands[name].add_argument(meta["flag"], dest=f.name, help=text,
-                                        **meta["check"].flag_extras)
+        for f in fields(PipelineConfig):
+            meta = f.metadata
+            if meta["step"] in (None, *steps):
+                command.add_argument(meta["flag"], dest=f.name, help=meta["help"],
+                                     **meta["check"].flag_extras)
     return parser
 
 

@@ -21,7 +21,8 @@ Every leaf is optional except ``input``. Unknown keys are rejected so a
 typo cannot silently fall back to a default; a wrongly typed value or a
 non-finite real is rejected naming its key. Each leaf is declared once, as
 a :class:`PipelineConfig` field whose metadata holds its key, its check,
-its CLI flag and the subcommands that take it.
+its CLI flag and the step that reads it; :data:`COMMANDS` states which steps
+each subcommand runs.
 """
 
 import argparse
@@ -36,10 +37,16 @@ from .factors import DEFAULT_MAX_SWEEPS, DEFAULT_ROTATION_TOL
 
 FORMATS = ("json", "csv", "text")
 
-_ALL = ("analyze", "factors", "rank", "compare")
-_FACTOR = ("analyze", "factors", "rank")
-_RANK = ("analyze", "rank")
-_COMPARE = ("analyze", "compare")
+# Each subcommand: its help line and the steps it runs. A config field names
+# the one step that reads it, or none if every subcommand takes it; "groups"
+# reads the two compared id lists from the config instead of a ranking.
+COMMANDS = {
+    "analyze": ("run the full pipeline", ("model", "ranking", "comparison")),
+    "factors": ("stop after the factor model", ("model",)),
+    "rank": ("run through the ranking step", ("model", "ranking")),
+    "compare": ("compare two explicit groups, skipping ranking",
+                ("groups", "comparison")),
+}
 
 
 def _csv_list(text):
@@ -105,10 +112,11 @@ def _strings(allowed=None):
     return check
 
 
-def _option(key, check, default=None, flag=None, commands=_ALL, help=None):
-    """A config field: document ``key``, value ``check``, CLI ``flag``."""
+def _option(key, check, default=None, flag=None, step=None, help=None):
+    """A config field: document ``key``, value ``check``, CLI ``flag``, ``step``."""
+    help = " ".join(filter(None, (help, f"(config: {key})")))
     return field(default=default, metadata=dict(
-        key=key, check=check, flag=flag, commands=commands, help=help))
+        key=key, check=check, flag=flag, step=step, help=help))
 
 
 @dataclass(frozen=True)
@@ -122,44 +130,44 @@ class PipelineConfig:
     variables: tuple = _option("variables", _strings(), None, "--variables",
                                help="comma-separated analysis variables (default: all)")
     retention_rule: str = _option("retention.rule", _choice("kaiser", "fixed"),
-                                  "kaiser", "--retention", _FACTOR)
+                                  "kaiser", "--retention", "model")
     retention_k: int = _option("retention.k", _integer(1), None, "--retention-k",
-                               _FACTOR)
+                               "model")
     rotation_method: str = _option("rotation.method", _choice("varimax", "none"),
-                                   "varimax", "--rotation", _FACTOR)
+                                   "varimax", "--rotation", "model")
     kaiser_normalization: bool = _option("rotation.kaiser_normalization", _boolean,
-                                         True, "--kaiser-normalization", _FACTOR)
+                                         True, "--kaiser-normalization", "model")
     rotation_tol: float = _option("rotation.tol", _real(0.0), DEFAULT_ROTATION_TOL,
-                                  "--rotation-tol", _FACTOR)
+                                  "--rotation-tol", "model")
     rotation_max_iter: int = _option("rotation.max_iter", _integer(1),
-                                     DEFAULT_MAX_SWEEPS, "--rotation-max-iter", _FACTOR)
-    ranking_factor: int = _option("ranking.factor", _integer(1), 1, "--factor", _RANK,
-                                  help="1-based factor to rank on")
+                                     DEFAULT_MAX_SWEEPS, "--rotation-max-iter", "model")
+    ranking_factor: int = _option("ranking.factor", _integer(1), 1, "--factor",
+                                  "ranking", help="1-based factor to rank on")
     ranking_direction: str = _option("ranking.direction",
                                      _choice("ascending", "descending"),
-                                     "ascending", "--direction", _RANK)
-    ranking_k: int = _option("ranking.k", _integer(1), 10, "--k", _RANK,
+                                     "ascending", "--direction", "ranking")
+    ranking_k: int = _option("ranking.k", _integer(1), 10, "--k", "ranking",
                              help="group size for the top/bottom split")
     compare_variables: tuple = _option(
-        "comparison.variables", _strings(), None, "--compare-variables", _COMPARE,
+        "comparison.variables", _strings(), None, "--compare-variables", "comparison",
         help="comma-separated variables for the comparison")
-    compare_group1: tuple = _option("comparison.group1", _strings(), None, "--group1",
-                                    ("compare",),
-                                    help="comma-separated case ids of group 1")
-    compare_group2: tuple = _option("comparison.group2", _strings(), None, "--group2",
-                                    ("compare",),
-                                    help="comma-separated case ids of group 2")
+    compare_group1: tuple = _option(
+        "comparison.group1", _strings(), None, "--group1", "groups",
+        help="comma-separated case ids of group 1")
+    compare_group2: tuple = _option(
+        "comparison.group2", _strings(), None, "--group2", "groups",
+        help="comma-separated case ids of group 2")
     alpha: float = _option("comparison.alpha", _real(0.0, 1.0), 0.05, "--alpha",
-                           _COMPARE)
+                           "comparison")
     alpha_levene: float = _option("comparison.alpha_levene", _real(0.0, 1.0), 0.05,
-                                  "--alpha-levene", _COMPARE)
+                                  "--alpha-levene", "comparison")
     ci_level: float = _option("comparison.ci_level", _real(0.0, 1.0), 0.95,
-                              "--ci-level", _COMPARE)
+                              "--ci-level", "comparison")
     standardize_scope: str = _option("comparison.standardize_scope",
                                      _choice("selected", "all"), "selected",
-                                     "--standardize-scope", _COMPARE)
+                                     "--standardize-scope", "comparison")
     levene_center: str = _option("comparison.levene_center", _choice("mean", "median"),
-                                 "mean", "--levene-center", _COMPARE)
+                                 "mean", "--levene-center", "comparison")
     out_dir: str = _option("output.dir", _string, ".", "--out-dir",
                            help="output directory")
     formats: tuple = _option("output.formats", _strings(FORMATS), ("json",),

@@ -270,14 +270,26 @@ def _parse_row(row, row_number, width, id_index, indicator_names, missing_policy
     return case_id, None if missing_here else data
 
 
+def column_moments(values, names):
+    """Column means and sample (n-1) sds of ``values``, whose columns are
+    ``names``; a column whose mean or sd overflows is rejected by name."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = values.mean(axis=0)
+        sds = values.std(axis=0, ddof=1)
+    bad = np.flatnonzero(~(np.isfinite(means) & np.isfinite(sds)))
+    if bad.size:
+        raise ValidationError(f"{names[bad[0]]}: values too large to standardize")
+    return means, sds
+
+
 def standardize(ds):
     """Column-wise z-scores of a dataset using the sample (n-1) deviation.
 
-    Raises on any constant column, naming the indicator.
+    Raises on any constant column, or one too large to standardize, naming
+    the indicator.
     """
     values = ds.values
-    means = values.mean(axis=0)
-    sds = values.std(axis=0, ddof=1)
+    means, sds = column_moments(values, ds.indicator_names)
     for name, sd in zip(ds.indicator_names, sds):
         if sd <= _ZERO_SD:
             raise ValidationError(f"zero variance: {name}")

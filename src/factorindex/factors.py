@@ -285,17 +285,15 @@ def factor_scores(z, w):
 
 
 def _singular_cause(r, z):
-    """Why R is singular, if it has fewer cases than variables or a null
-    space (eigenvalues <= 1e-12, invert_spd's bound); else None. The
-    indicators named are those with an entry above 1e-6 in a null vector."""
+    """Why R is singular: fewer cases than variables, or a null space
+    (eigenvalues <= 1e-12, invert_spd's bound). The indicators named are
+    those with an entry above 1e-6 in a null vector."""
     n, p = z.values.shape
     if n <= p:
         return (f"the correlation matrix is singular: {n} cases for {p} "
                 "variables; add cases or select fewer variables with --variables")
     decomp = sym_eigen(r)
     null = decomp.eigenvectors[:, decomp.eigenvalues <= _SPD_MIN_EIGENVALUE]
-    if not null.size:
-        return None
     # A null vector has at least two such entries: R's diagonal is 1.
     *names, last = (z.indicator_names[j]
                     for j in np.flatnonzero(np.any(np.abs(null) > 1e-6, axis=1)))
@@ -316,6 +314,9 @@ def build_factor_model(z, retention_rule="kaiser", retention_k=None,
     r = with_stage("correlation", correlation_matrix, z)
     eigenvalues, unrotated, retained = with_stage(
         "extraction", extract_pca, r, rule=retention_rule, k=retention_k)
+    # After extraction, so that a bad k is reported first; before rotation.
+    if eigenvalues[-1] <= _SPD_MIN_EIGENVALUE:
+        raise NumericalError(_singular_cause(r, z), stage="diagnostics")
     if rotation_method == "varimax":
         rot = with_stage("rotation", varimax, unrotated,
                       kaiser_normalize=kaiser_normalize,
@@ -328,11 +329,7 @@ def build_factor_model(z, retention_rule="kaiser", retention_k=None,
         rotation_converged = True
     communalities = np.sum(rotated * rotated, axis=1)
     variance_explained = float(np.sum(eigenvalues[:retained]) / r.shape[0])
-    try:
-        adequacy = kmo(r)
-    except NumericalError as exc:
-        message = _singular_cause(r, z) or str(exc)
-        raise NumericalError(message, stage="diagnostics") from exc
+    adequacy = with_stage("diagnostics", kmo, r)
     w = with_stage("scoring", score_coefficients, r, rotated)
     for arr in (unrotated, rotated, rotation, communalities, w):
         arr.setflags(write=False)

@@ -196,8 +196,9 @@ def compare_groups(ds, group1_ids, group2_ids, variables=None, alpha=0.05,
     reported variant is pooled when Levene's p exceeds ``alpha_levene``,
     Welch otherwise. A variable whose sd within the scope is at most
     standardize's zero-variance bound is marked degenerate and skipped; the
-    rest of the report proceeds. Each group's rows are read in its id list's
-    order, whatever the row order of ``ds``.
+    rest of the report proceeds; one whose mean or sd within the scope
+    overflows stops it, by name. Each group's rows are read in its id
+    list's order, whatever the row order of ``ds``.
     """
     if standardize_scope not in ("selected", "all"):
         raise ValidationError(
@@ -230,8 +231,7 @@ def compare_groups(ds, group1_ids, group2_ids, variables=None, alpha=0.05,
     del row_of  # not held through the scope statistics
 
     scope = block if standardize_scope == "selected" else sub.values
-    scope_means = scope.mean(axis=0)
-    scope_sds = scope.std(axis=0, ddof=1)
+    scope_means, scope_sds = ds_mod.column_moments(scope, sub.indicator_names)
 
     records = []
     for j, name in enumerate(sub.indicator_names):

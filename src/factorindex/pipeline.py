@@ -1,7 +1,8 @@
 """End-to-end orchestration: load -> factor model -> ranking -> comparison.
 
-A run can stop early (``factors``, ``rank``) or compare explicit groups
-without a factor model (``compare``). The loaded table is the run's one
+Which steps a run takes is ``config.COMMANDS``'s row for its stage: it can
+stop early (``factors``, ``rank``) or compare explicit groups without a
+factor model (``compare``). The loaded table is the run's one
 dataset: ``variables`` narrows only the factor model's input, and the
 comparison takes the ``comparison.variables`` columns from the whole table,
 or the factor model's columns when that key is unset.
@@ -29,14 +30,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__, reports
-from .config import PipelineConfig
+from .config import COMMANDS, PipelineConfig
 from .dataset import load_csv, select_variables, standardize
 from .errors import ValidationError, with_stage
 from .factors import build_factor_model, factor_scores
 from .inference import compare_groups
 from .ranking import check_group_size, rank_by_factor, with_groups
-
-STAGES = ("factors", "rank", "analyze", "compare")
 
 
 @dataclass(frozen=True)
@@ -49,19 +48,19 @@ class PipelineResult:
 
 
 def run_pipeline(config, stage="analyze"):
-    """Run the pipeline up to ``stage`` and write the report files.
+    """Run the steps of subcommand ``stage`` and write the report files.
 
-    ``stage`` is one of ``"factors"`` (stop after the factor model),
-    ``"rank"`` (through ranking), ``"analyze"`` (full run including the
-    group comparison) or ``"compare"`` (compare the config's two explicit
-    groups, skipping extraction and ranking).
+    ``stage`` names a row of ``config.COMMANDS``: ``"factors"`` (stop after
+    the factor model), ``"rank"`` (through ranking), ``"analyze"`` (full run
+    including the group comparison) or ``"compare"`` (compare the config's
+    two explicit groups, skipping extraction and ranking).
     """
-    if stage not in STAGES:
+    if stage not in COMMANDS:
         raise ValidationError(f"unknown pipeline stage {stage!r}")
-    ranks = stage in ("rank", "analyze")
+    steps = COMMANDS[stage][1]
     groups = (config.compare_group1, config.compare_group2)
-    if stage == "compare" and not all(groups):
-        raise ValidationError("compare requires comparison.group1 and "
+    if "groups" in steps and not all(groups):
+        raise ValidationError(f"{stage} requires comparison.group1 and "
                               "comparison.group2 id lists")
     ds = load_csv(config.input, id_column=config.id_column,
                   missing_policy=config.missing_policy)
@@ -72,12 +71,12 @@ def run_pipeline(config, stage="analyze"):
     compared = model_ds if config.compare_variables is None else ds
     del ds
 
-    if ranks:
+    if "ranking" in steps:
         # Before the factor model, so a singular R cannot mask a bad k.
         check_group_size(config.ranking_k, model_ds.n_cases)
 
     model = ranked = comparison = None
-    if stage != "compare":
+    if "model" in steps:
         z = with_stage("standardize", standardize, model_ds)
         model = build_factor_model(
             z,
@@ -89,14 +88,14 @@ def run_pipeline(config, stage="analyze"):
             rotation_max_iter=config.rotation_max_iter,
         )
 
-    if ranks:
+    if "ranking" in steps:
         scores = with_stage("scoring", factor_scores, z, model.score_coefficients)
         ranked = rank_by_factor(scores, config.ranking_factor,
                                 config.ranking_direction)
         ranked = with_groups(ranked, config.ranking_k)
         groups = (ranked.group1_ids, ranked.group2_ids)
 
-    if stage in ("analyze", "compare"):
+    if "comparison" in steps:
         comparison = with_stage(
             "comparison", compare_groups, compared, *groups,
             variables=config.compare_variables, alpha=config.alpha,

@@ -18,6 +18,7 @@ from factorindex import pipeline
 from factorindex import reports
 from factorindex.cli import build_parser, main
 from factorindex.config import PipelineConfig, config_from_dict
+from factorindex.errors import ValidationError
 
 from conftest import make_table, write_table_csv
 
@@ -135,9 +136,9 @@ class TestAnalyze:
         assert "Traceback" not in err
         assert not (tmp_path / "z").exists()
 
-    def singular_run(self, tmp_path, capsys, ids, names, values):
+    def singular_run(self, tmp_path, capsys, ids, names, values, argv=("analyze",)):
         path = write_table_csv(tmp_path / "singular.csv", ids, names, values)
-        rc = main(["analyze", "--input", path, "--out-dir", str(tmp_path / "s")])
+        rc = main([*argv, "--input", path, "--out-dir", str(tmp_path / "s")])
         assert rc == 3
         assert not (tmp_path / "s").exists()
         err = capsys.readouterr().err
@@ -163,6 +164,19 @@ class TestAnalyze:
         err = self.singular_run(tmp_path, capsys, ids, names + ("Sum01",), values)
         assert "Ind00, Ind01 and Sum01 are collinear; drop one of them" in err
         assert "smallest eigenvalue" not in err
+
+    @pytest.mark.parametrize("n, cause", [
+        (88, "Ind03 and Copy03 are collinear"), (30, "30 cases for 35 variables")])
+    def test_a_singular_run_stops_before_rotation(self, tmp_path, capsys, recwarn,
+                                                  n, cause):
+        # One sweep leaves varimax unconverged, which would warn; under pytest a
+        # warning that main prints lands in recwarn, not on stderr.
+        ids, names, values = make_table()
+        values = np.column_stack([values, values[:, 3]])[:n]
+        err = self.singular_run(tmp_path, capsys, ids[:n], names + ("Copy03",), values,
+                                argv=("factors", "--rotation-max-iter", "1"))
+        assert cause in err
+        assert [str(w.message) for w in recwarn] == []
 
     def test_factor_beyond_retained_count_exits_2(self, table_csv, tmp_path,
                                                   capsys):
@@ -331,6 +345,61 @@ class TestSubcommands:
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_each_subcommand_takes_exactly_its_flags(self):
+        subparsers = next(action for action in build_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        taken = {name: [option for action in subparser._actions
+                        for option in action.option_strings]
+                 for name, subparser in subparsers.choices.items()}
+        assert taken == {
+            "analyze": [
+                "-h", "--help", "--config", "--input", "--id-column",
+                "--missing-policy", "--variables", "--retention", "--retention-k",
+                "--rotation", "--kaiser-normalization", "--no-kaiser-normalization",
+                "--rotation-tol", "--rotation-max-iter", "--factor", "--direction",
+                "--k", "--compare-variables", "--alpha", "--alpha-levene",
+                "--ci-level", "--standardize-scope", "--levene-center", "--out-dir",
+                "--format"],
+            "factors": [
+                "-h", "--help", "--config", "--input", "--id-column",
+                "--missing-policy", "--variables", "--retention", "--retention-k",
+                "--rotation", "--kaiser-normalization", "--no-kaiser-normalization",
+                "--rotation-tol", "--rotation-max-iter", "--out-dir", "--format"],
+            "rank": [
+                "-h", "--help", "--config", "--input", "--id-column",
+                "--missing-policy", "--variables", "--retention", "--retention-k",
+                "--rotation", "--kaiser-normalization", "--no-kaiser-normalization",
+                "--rotation-tol", "--rotation-max-iter", "--factor", "--direction",
+                "--k", "--out-dir", "--format"],
+            "compare": [
+                "-h", "--help", "--config", "--input", "--id-column",
+                "--missing-policy", "--variables", "--compare-variables", "--group1",
+                "--group2", "--alpha", "--alpha-levene", "--ci-level",
+                "--standardize-scope", "--levene-center", "--out-dir", "--format"],
+        }
+
+    def test_unknown_pipeline_stage_is_rejected(self):
+        with pytest.raises(ValidationError, match="unknown pipeline stage 'bogus'"):
+            pipeline.run_pipeline(config_from_dict({"input": "x.csv"}), "bogus")
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze"], ["factors"], ["rank"],
+        ["compare", "--group1", "c00,c01,c02", "--group2", "c03,c04,c05"],
+        ["compare", "--group1", "c00,c01,c02", "--group2", "c03,c04,c05",
+         "--standardize-scope", "all"],
+    ])
+    def test_a_column_too_large_to_standardize_exits_2(self, tmp_path, capsys,
+                                                       recwarn, argv):
+        values = np.random.RandomState(5).randn(40, 5)
+        values[:, 0] *= 1e300  # its squares overflow
+        path = write_table_csv(tmp_path / "huge.csv", [f"c{i:02d}" for i in range(40)],
+                               [f"v{j}" for j in range(5)], values)
+        out = tmp_path / "out"
+        assert main(argv + ["--input", path, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == "error: v0: values too large to standardize\n"
+        assert [str(w.message) for w in recwarn] == []  # as in the test above
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_rotation_tol_flag_exits_2(self, table_csv, tmp_path,
                                                   capsys, value):
@@ -488,6 +557,45 @@ class TestRowOrder:
                         assert abs(a - b) <= 1e-12, (seed, name, where, a, b)
                     else:
                         assert a == b, (seed, name, where)
+
+
+class TestColumnOrder:
+    """Reordering the table's columns permutes the indicator rows of the factor
+    model and changes no other result (20 seeded permutations)."""
+
+    def analyze(self, tmp_path, order):
+        ids, names, values = make_table()
+        path = write_table_csv(tmp_path / "reordered.csv", ids,
+                               [names[j] for j in order], values[:, order])
+        out = tmp_path / "out"
+        assert main(["analyze", "--input", path, "--out-dir", str(out)]) == 0
+        return [json.loads((out / name).read_text()) for name in
+                ("factor_model.json", "ranking.json", "comparison.json")]
+
+    def test_reordered_columns_permute_the_indicator_rows(self, tmp_path):
+        p = len(make_table()[1])
+        base_model, base_ranking, base_comparison = self.analyze(tmp_path,
+                                                                 np.arange(p))
+        base_records = {r["name"]: r for r in base_comparison["variables"]}
+        for seed in range(20):
+            order = np.random.RandomState(seed).permutation(p)
+            model, ranking, comparison = self.analyze(tmp_path, order)
+            assert model["retained"] == base_model["retained"], seed
+            for key in ("loadings_unrotated", "loadings_rotated",
+                        "score_coefficients"):
+                np.testing.assert_allclose(model[key],
+                                           np.asarray(base_model[key])[order],
+                                           rtol=0, atol=1e-12, err_msg=f"{seed} {key}")
+            np.testing.assert_allclose(model["eigenvalues"], base_model["eigenvalues"],
+                                       rtol=0, atol=1e-12, err_msg=str(seed))
+            for key in ("group1_ids", "group2_ids"):
+                assert ranking[key] == base_ranking[key], seed
+            assert ([e["case_id"] for e in ranking["entries"]]
+                    == [e["case_id"] for e in base_ranking["entries"]]), seed
+            np.testing.assert_allclose([e["score"] for e in ranking["entries"]],
+                                       [e["score"] for e in base_ranking["entries"]],
+                                       rtol=0, atol=1e-12, err_msg=str(seed))
+            assert {r["name"]: r for r in comparison["variables"]} == base_records, seed
 
 
 class TestAllOrNone:

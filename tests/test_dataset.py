@@ -246,6 +246,15 @@ class TestStandardize:
         with pytest.raises(ValidationError, match="zero variance: flat"):
             standardize(ds)
 
+    @pytest.mark.parametrize("scale", [1e300, 1e307])  # the sd, the mean overflows
+    def test_a_column_too_large_is_named(self, scale):
+        values = np.random.RandomState(7).randn(40, 3)
+        values[:, 1] = scale * np.abs(values[:, 1])
+        ds = dataset_from([f"c{i}" for i in range(40)], ["x", "huge", "y"], values)
+        with pytest.raises(ValidationError,
+                           match="^huge: values too large to standardize$"):
+            standardize(ds)
+
     def test_moments_match_independent_recompute(self):
         rng = np.random.RandomState(3)
         x = rng.randn(20, 4) * rng.uniform(0.5, 9.0, 4) + rng.uniform(-5, 5, 4)

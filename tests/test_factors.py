@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from factorindex import factors
 from factorindex.dataset import standardize
 from factorindex.errors import NumericalError, ValidationError
 from factorindex.factors import (build_factor_model, correlation_matrix,
@@ -319,6 +320,21 @@ class TestBuildFactorModel:
                   if isinstance(value, np.ndarray)}
         assert "loadings_unrotated" in arrays and "per_variable" in arrays
         assert [name for name, a in arrays.items() if a.flags.writeable] == []
+
+    def test_a_singular_r_stops_before_rotation(self, monkeypatch):
+        ids, names, values = make_table()
+        z = standardize(dataset_from(ids, names + ("Copy03",),
+                                     np.column_stack([values, values[:, 3]])))
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a singular R was rotated")
+        monkeypatch.setattr(factors, "varimax", unreachable)
+        with pytest.raises(NumericalError, match="Ind03 and Copy03 are") as exc:
+            build_factor_model(z)
+        assert exc.value.stage == "diagnostics"
+        # A retention count beyond p is still reported first.
+        with pytest.raises(ValidationError, match="cannot retain k=36"):
+            build_factor_model(z, retention_rule="fixed", retention_k=36)
 
     def test_one_indicator_is_too_few(self):
         # KMO needs an off-diagonal correlation.
