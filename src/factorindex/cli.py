@@ -14,7 +14,6 @@ file. Exit codes: 0 success, 2 invalid input/config, 3 numerical failure.
 
 import argparse
 import sys
-import warnings
 from dataclasses import fields
 
 from .config import COMMANDS, PipelineConfig, config_from_dict, load_config
@@ -57,23 +56,16 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
-    with warnings.catch_warnings():
-        # Each notice is one stderr line, whatever the warning filters.
-        warnings.simplefilter("always")
-        formatwarning = warnings.formatwarning
-        warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
-        try:
-            config = _build_config(args)
-            result = run_pipeline(config, stage=args.command)
-        except (ValidationError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except NumericalError as exc:
-            stage = exc.stage or "numeric"
-            print(f"numerical failure in {stage} stage: {exc}", file=sys.stderr)
-            return 3
-        finally:
-            warnings.formatwarning = formatwarning
+    try:
+        config = _build_config(args)
+        result = run_pipeline(config, stage=args.command)
+    except (ValidationError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except NumericalError as exc:
+        stage = exc.stage or "numeric"
+        print(f"numerical failure in {stage} stage: {exc}", file=sys.stderr)
+        return 3
     for path in result.files:
         print(path)
     return 0

@@ -9,7 +9,6 @@ once built; operations return new objects.
 import csv
 import difflib
 import math
-import warnings
 from array import array
 from dataclasses import dataclass
 from itertools import compress
@@ -30,6 +29,7 @@ class IndicatorDataset:
     case_ids: tuple
     indicator_names: tuple
     values: np.ndarray
+    dropped_ids: tuple = ()  # ids of the rows listwise deletion left out
 
     def __post_init__(self):
         # C order fixes the summation order of every column statistic, so
@@ -102,9 +102,9 @@ def load_csv(path, id_column=None, missing_policy="error"):
 
     ``id_column`` names the identifier column (default: the first column).
     ``missing_policy`` is ``"error"`` (reject any blank/non-finite cell) or
-    ``"listwise"`` (drop incomplete rows with a warning). Non-numeric text in
-    a numeric column and a blank case id are always errors, reported with the
-    data row number (1-based, header excluded).
+    ``"listwise"`` (drop incomplete rows, naming them in ``dropped_ids``).
+    Non-numeric text in a numeric column and a blank case id are always
+    errors, reported with the data row number (1-based, header excluded).
 
     Rows are read in blocks of about ``_CHUNK_CELLS`` cells. A block whose
     rows all have the header's width and a non-blank id is parsed column by
@@ -166,12 +166,6 @@ def load_csv(path, id_column=None, missing_policy="error"):
     except csv.Error as exc:
         raise ValidationError(f"{path}: line {reader.line_num}: {exc}") from None
 
-    if dropped:
-        warnings.warn(
-            f"listwise deletion dropped {len(dropped)} case(s): {', '.join(dropped)}",
-            stacklevel=2,
-        )
-
     if len(case_ids) < _MIN_CASES:
         raise ValidationError(
             f"{path}: fewer than {_MIN_CASES} complete rows after loading "
@@ -179,7 +173,8 @@ def load_csv(path, id_column=None, missing_policy="error"):
         )
     values = np.frombuffer(parsed, dtype=float).reshape(len(case_ids),
                                                         len(indicator_names))
-    return IndicatorDataset(tuple(case_ids), tuple(indicator_names), values)
+    return IndicatorDataset(tuple(case_ids), tuple(indicator_names), values,
+                            tuple(dropped))
 
 
 def _blocks(reader, size):
@@ -321,6 +316,7 @@ def select_variables(ds, names):
         case_ids=ds.case_ids,
         indicator_names=tuple(names),
         values=ds.values.take(columns, axis=1),
+        dropped_ids=ds.dropped_ids,
     )
 
 

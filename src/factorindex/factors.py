@@ -7,7 +7,6 @@ identical inputs give bit-identical models.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,7 +177,7 @@ def varimax(loadings, kaiser_normalize=True, tol=DEFAULT_ROTATION_TOL,
     Each pair (i, j) gets the exact single-angle optimum of the pairwise
     criterion; sweeps repeat until no angle exceeds ``tol`` radians (a fixed
     point) or ``max_iter`` sweeps pass, in which case the best-so-far result
-    is returned with ``converged=False`` and a warning.
+    is returned with ``converged=False``.
 
     With ``kaiser_normalize`` the rows are scaled to unit communality before
     rotation and unscaled after. Output columns are sorted by explained sum
@@ -237,12 +236,6 @@ def varimax(loadings, kaiser_normalize=True, tol=DEFAULT_ROTATION_TOL,
         if max_angle <= tol:
             converged = True
             break
-    if not converged:
-        warnings.warn(
-            f"varimax did not reach a fixed point in {max_iter} sweeps; "
-            "returning best iterate",
-            stacklevel=2,
-        )
 
     out = b * scale[:, None]
     out, rotation = _canonicalize_columns(out, rotation)

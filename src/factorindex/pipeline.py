@@ -7,6 +7,10 @@ dataset: ``variables`` narrows only the factor model's input, and the
 comparison takes the ``comparison.variables`` columns from the whole table,
 or the factor model's columns when that key is unset.
 
+Each notice (listwise deletion's dropped ids, a varimax rotation with no
+fixed point) is one stderr ``warning: ...`` line, printed once its step
+has returned; a step that fails prints none.
+
 Report files are written only after every computation has succeeded, and
 then all of them or none: each is written whole into a temporary directory
 inside ``out_dir``, and only when every one is complete, and no target path
@@ -23,6 +27,7 @@ import errno
 import os
 import platform
 import shutil
+import sys
 import tempfile
 from contextlib import ExitStack, suppress
 from dataclasses import dataclass
@@ -64,6 +69,9 @@ def run_pipeline(config, stage="analyze"):
                               "comparison.group2 id lists")
     ds = load_csv(config.input, id_column=config.id_column,
                   missing_policy=config.missing_policy)
+    if ds.dropped_ids:
+        _notice(f"listwise deletion dropped {len(ds.dropped_ids)} case(s): "
+                f"{', '.join(ds.dropped_ids)}")
     model_ds = (ds if config.variables is None
                 else select_variables(ds, config.variables))
     # Unset, the comparison takes the factor model's table itself, not a
@@ -87,6 +95,9 @@ def run_pipeline(config, stage="analyze"):
             rotation_tol=config.rotation_tol,
             rotation_max_iter=config.rotation_max_iter,
         )
+        if not model.rotation_converged:
+            _notice(f"varimax did not reach a fixed point in "
+                    f"{config.rotation_max_iter} sweeps; returning best iterate")
 
     if "ranking" in steps:
         scores = with_stage("scoring", factor_scores, z, model.score_coefficients)
@@ -106,6 +117,10 @@ def run_pipeline(config, stage="analyze"):
     files = _write_outputs(config, model, ranked, comparison)
     return PipelineResult(config=config, model=model, ranked=ranked,
                           comparison=comparison, files=tuple(files))
+
+
+def _notice(text):
+    print(f"warning: {text}", file=sys.stderr)
 
 
 # Every file a run can write, in listing order: (name, format, result,

@@ -167,16 +167,12 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("n, cause", [
         (88, "Ind03 and Copy03 are collinear"), (30, "30 cases for 35 variables")])
-    def test_a_singular_run_stops_before_rotation(self, tmp_path, capsys, recwarn,
-                                                  n, cause):
-        # One sweep leaves varimax unconverged, which would warn; under pytest a
-        # warning that main prints lands in recwarn, not on stderr.
+    def test_a_singular_run_stops_before_rotation(self, tmp_path, capsys, n, cause):
         ids, names, values = make_table()
         values = np.column_stack([values, values[:, 3]])[:n]
         err = self.singular_run(tmp_path, capsys, ids[:n], names + ("Copy03",), values,
                                 argv=("factors", "--rotation-max-iter", "1"))
         assert cause in err
-        assert [str(w.message) for w in recwarn] == []
 
     def test_factor_beyond_retained_count_exits_2(self, table_csv, tmp_path,
                                                   capsys):
@@ -388,8 +384,7 @@ class TestSubcommands:
         ["compare", "--group1", "c00,c01,c02", "--group2", "c03,c04,c05",
          "--standardize-scope", "all"],
     ])
-    def test_a_column_too_large_to_standardize_exits_2(self, tmp_path, capsys,
-                                                       recwarn, argv):
+    def test_a_column_too_large_to_standardize_exits_2(self, tmp_path, capsys, argv):
         values = np.random.RandomState(5).randn(40, 5)
         values[:, 0] *= 1e300  # its squares overflow
         path = write_table_csv(tmp_path / "huge.csv", [f"c{i:02d}" for i in range(40)],
@@ -397,7 +392,6 @@ class TestSubcommands:
         out = tmp_path / "out"
         assert main(argv + ["--input", path, "--out-dir", str(out)]) == 2
         assert capsys.readouterr().err == "error: v0: values too large to standardize\n"
-        assert [str(w.message) for w in recwarn] == []  # as in the test above
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -486,15 +480,16 @@ class TestSubcommands:
         assert parsed["rotation_method"] == "none"
         assert parsed["loadings_rotated"] == parsed["loadings_unrotated"]
 
-    def test_listwise_policy_flag(self, tmp_path):
+    def test_listwise_policy_flag(self, tmp_path, capsys):
         path = tmp_path / "gaps.csv"
         path.write_text("id,a,b\nw,1,2\nx,3,\ny,5,6\nz,7,9\n")
         out = tmp_path / "out"
-        with pytest.warns(UserWarning, match="x"):
-            rc = main(["factors", "--input", str(path), "--out-dir", str(out),
-                       "--missing-policy", "listwise", "--retention", "fixed",
-                       "--retention-k", "1"])
+        rc = main(["factors", "--input", str(path), "--out-dir", str(out),
+                   "--missing-policy", "listwise", "--retention", "fixed",
+                   "--retention-k", "1"])
         assert rc == 0
+        assert capsys.readouterr().err == \
+            "warning: listwise deletion dropped 1 case(s): x\n"
 
 
 def snapshot(directory):
@@ -782,14 +777,49 @@ class TestNotices:
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == f"warning: {notice}\n"
 
-    def test_unconverged_rotation_is_named_in_the_text_report(self, table_csv,
-                                                              tmp_path):
+    @pytest.mark.parametrize("flags, notice, error", [
+        (["--missing-policy", "listwise", "--k", "60"],
+         "listwise deletion dropped 2 case(s): Community_04, Community_41",
+         "group size k=60 out of range: need 1 <= k <= floor(n/2) = 43 (n = 86)"),
+        (["--rotation-max-iter", "1", "--retention", "fixed", "--retention-k", "2",
+          "--factor", "3"],
+         "varimax did not reach a fixed point in 1 sweeps; returning best iterate",
+         "factor selector 3 out of range: model retains 2"),
+    ], ids=["listwise", "rotation"])
+    def test_a_notice_prints_before_a_later_error(self, tmp_path, capsys, flags,
+                                                  notice, error):
+        ids, names, values = make_table()
+        if "listwise" in flags:
+            values[[3, 40], 2] = np.nan
+        path = write_table_csv(tmp_path / "table.csv", ids, names, values)
         out = tmp_path / "out"
-        with pytest.warns(UserWarning, match="fixed point"):
-            rc = main(["factors", "--input", table_csv, "--out-dir", str(out),
-                       "--format", "text", "--format", "json",
-                       "--rotation-max-iter", "1"])
+        assert main(["analyze", "--input", path, "--out-dir", str(out)] + flags) == 2
+        assert capsys.readouterr().err == f"warning: {notice}\nerror: {error}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("body, error", [
+        ("w,1,2\nx,3,\ny,5,6\n",
+         "{path}: fewer than 3 complete rows after loading (2 remain)"),
+        ("w,1,2\nx,3,\nw,5,6\nz,7,8\n", "duplicate case id: 'w'"),
+    ], ids=["too few rows", "duplicate id"])
+    def test_a_load_that_fails_after_dropping_rows_prints_only_its_error(
+            self, tmp_path, capsys, body, error):
+        path = tmp_path / "gaps.csv"
+        path.write_text("id,a,b\n" + body)
+        rc = main(["factors", "--input", str(path), "--out-dir", str(tmp_path / "out"),
+                   "--missing-policy", "listwise"])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {error.format(path=path)}\n"
+
+    def test_unconverged_rotation_is_named_in_the_text_report(self, table_csv,
+                                                              tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["factors", "--input", table_csv, "--out-dir", str(out),
+                   "--format", "text", "--format", "json",
+                   "--rotation-max-iter", "1"])
         assert rc == 0
+        assert capsys.readouterr().err == ("warning: varimax did not reach a fixed "
+                                           "point in 1 sweeps; returning best iterate\n")
         text = (out / "factor_model.txt").read_text()
         assert "WARNING: rotation did not converge" in text
         assert json.loads((out / "factor_model.json").read_text())[

@@ -1,5 +1,4 @@
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -49,25 +48,25 @@ class TestLoadCsv:
 
     def test_listwise_drops_case_with_warning(self, tmp_path):
         path = write(tmp_path, "community,a,b\nX,1,2\nY,,4\nZ,5,6\nW,7,8\n")
-        with pytest.warns(UserWarning, match="Y"):
-            ds = load_csv(path, missing_policy="listwise")
+        ds = load_csv(path, missing_policy="listwise")
+        assert ds.dropped_ids == ("Y",)
         assert ds.case_ids == ("X", "Z", "W")
         assert ds.n_cases == 3
 
     def test_listwise_drops_literal_nan_and_inf(self, tmp_path):
         path = write(tmp_path, "community,a,b\nX,1,2\nY,nan,4\nZ,5,6\n"
                                "V,7,-inf\nW,7,8\nU,inf,NaN\n")
-        with pytest.warns(UserWarning,
-                          match=r"dropped 3 case\(s\): Y, V, U$"):
-            ds = load_csv(path, missing_policy="listwise")
+        ds = load_csv(path, missing_policy="listwise")
+        assert ds.dropped_ids == ("Y", "V", "U")
         assert ds.case_ids == ("X", "Z", "W")
         np.testing.assert_array_equal(ds.values, [[1, 2], [5, 6], [7, 8]])
+        assert select_variables(ds, ["b"]).dropped_ids == ("Y", "V", "U")
 
     def test_listwise_too_few_rows(self, tmp_path):
         path = write(tmp_path, "community,a,b\nX,1,2\nY,,4\nZ,5,6\n")
-        with pytest.warns(UserWarning):
-            with pytest.raises(ValidationError, match="fewer than 3 complete rows"):
-                load_csv(path, missing_policy="listwise")
+        with pytest.raises(ValidationError,
+                           match=r"fewer than 3 complete rows after loading \(2 remain\)"):
+            load_csv(path, missing_policy="listwise")
 
     def test_duplicate_case_id(self, tmp_path):
         path = write(tmp_path, "community,a,b\nX,1,2\nX,3,4\nZ,5,6\n")
@@ -131,14 +130,12 @@ class TestLoadCsv:
 
 
 def outcome(path, policy):
-    """``(ids, value bytes, warnings)`` of :func:`load_csv`, or its error text."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            ds = load_csv(path, missing_policy=policy)
-        except ValidationError as exc:
-            return str(exc)
-    return ds.case_ids, ds.values.tobytes(), [str(w.message) for w in caught]
+    """``(ids, value bytes, dropped ids)`` of :func:`load_csv`, or its error text."""
+    try:
+        ds = load_csv(path, missing_policy=policy)
+    except ValidationError as exc:
+        return str(exc)
+    return ds.case_ids, ds.values.tobytes(), ds.dropped_ids
 
 
 GOOD_ROWS = "".join(f"G{i},{i}.5,{-i}.25\n" for i in range(6))

@@ -6,7 +6,9 @@ contract: ``cli.main`` returns 0, 2 or 3, raises nothing, and leaves no
 output directory behind after a non-zero exit. Some cases find an earlier
 run's output directory with a directory where one artifact would go: a
 run that fails then leaves that directory exactly as it was, and one that
-reaches the write step fails there with one line naming the path. Cases that the program
+reaches the write step fails there with one line naming the path, after
+any notice. A run that succeeds prints at most the listwise notice, naming
+the rows a plain ``csv`` read finds incomplete. Cases that the program
 once accepted (a blank case id, ``retention.k`` < 1 under the Kaiser rule,
 an id repeated within a compare group) must exit 2 for that reason, and
 a numerical failure must name its cause rather than a bare eigenvalue.
@@ -18,6 +20,7 @@ corpus against another build.
 
 import csv
 import io
+import math
 import os
 import random
 
@@ -228,10 +231,25 @@ def _snapshot(out):
     return entries
 
 
+def _listwise_notice(path):
+    """The stderr a successful run on ``path`` prints: the listwise notice
+    naming the rows with a blank or non-finite cell, in file order, or ""."""
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        rows = [row for row in list(csv.reader(fh))[1:]
+                if any(cell.strip() for cell in row)]
+    dropped = [row[0].strip() for row in rows
+               if any(not cell.strip() or not math.isfinite(float(cell))
+                      for cell in row[1:])]
+    if not dropped:
+        return ""
+    return (f"warning: listwise deletion dropped {len(dropped)} case(s): "
+            f"{', '.join(dropped)}\n")
+
+
 def test_exit_code_contract_under_fuzzing(tmp_path, capsys):
     rng = random.Random(SEED)
     exits = {0: 0, 2: 0, 3: 0}
-    stopped_at_block = 0
+    stopped_at_block = noticed = 0
     for index in range(N_CASES):
         argv, expected = fuzz_case(rng, str(tmp_path), index)
         out = argv[argv.index("--out-dir") + 1]
@@ -245,6 +263,9 @@ def test_exit_code_contract_under_fuzzing(tmp_path, capsys):
         assert rc in exits, (argv, rc, err)
         exits[rc] += 1
         assert "Traceback" not in err, (argv, err)
+        if rc == 0:
+            assert err == _listwise_notice(argv[argv.index("--input") + 1]), (argv, err)
+            noticed += bool(err)
         if blocked is None:
             assert os.path.isdir(out) == (rc == 0), (argv, rc, err)
         elif rc == 0:
@@ -255,8 +276,10 @@ def test_exit_code_contract_under_fuzzing(tmp_path, capsys):
             assert _snapshot(out) == before, (argv, rc, err)
             if "Is a directory" in err:
                 stopped_at_block += 1
-                assert err == ("error: [Errno 21] Is a directory: "
-                               f"{os.path.join(out, blocked)!r}\n"), (argv, err)
+                *notices, last, end = err.split("\n")
+                assert last == ("error: [Errno 21] Is a directory: "
+                                f"{os.path.join(out, blocked)!r}") and not end, (argv, err)
+                assert all(line.startswith("warning: ") for line in notices), (argv, err)
         if expected is not None:
             assert rc == 2 and expected in err, (argv, rc, err)
         if rc == 3:
@@ -265,3 +288,4 @@ def test_exit_code_contract_under_fuzzing(tmp_path, capsys):
     # The corpus reaches every outcome, not just the input checks.
     assert min(exits.values()) >= 20, exits
     assert stopped_at_block >= 10, stopped_at_block
+    assert noticed >= 3, noticed
