@@ -11,7 +11,7 @@ from .factors import (FactorModel, FactorScores, build_factor_model,
                       kmo_label, score_coefficients, varimax)
 from .inference import (GroupComparisonReport, GroupDescriptives, LeveneResult,
                         TTestResult, compare_groups, group_descriptives,
-                        levene_test, t_test_pooled, t_test_welch)
+                        levene_test, t_tests)
 from .numkernel import (f_tail_p, invert_spd, reg_incomplete_beta, sym_eigen,
                         t_quantile, t_two_tailed_p)
 from .ranking import RankedIndex, rank_by_factor, with_groups
@@ -27,8 +27,7 @@ __all__ = [
     "extract_pca", "factor_scores", "kmo", "kmo_label", "score_coefficients",
     "varimax",
     "GroupComparisonReport", "GroupDescriptives", "LeveneResult", "TTestResult",
-    "compare_groups", "group_descriptives", "levene_test", "t_test_pooled",
-    "t_test_welch",
+    "compare_groups", "group_descriptives", "levene_test", "t_tests",
     "f_tail_p", "invert_spd", "reg_incomplete_beta",
     "sym_eigen", "t_quantile", "t_two_tailed_p",
     "RankedIndex", "rank_by_factor", "with_groups",

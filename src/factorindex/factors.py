@@ -90,7 +90,8 @@ def correlation_matrix(z):
 def extract_pca(r, rule="kaiser", k=None):
     """Principal-components extraction from a correlation matrix.
 
-    Returns ``(eigenvalues, loadings, retained)`` where loading column j is
+    Returns ``(decomposition, loadings, retained)``: the ``sym_eigen``
+    decomposition of ``r``, and loadings whose column j is
     eigenvector_j * sqrt(eigenvalue_j). Retention is either ``"kaiser"``
     (strictly eigenvalue > 1) or ``"fixed"`` with an explicit ``k``.
     """
@@ -115,7 +116,7 @@ def extract_pca(r, rule="kaiser", k=None):
         raise ValidationError(f"unknown retention rule {rule!r}")
     scale = np.sqrt(np.maximum(eigenvalues[:retained], 0.0))
     loadings = decomp.eigenvectors[:, :retained] * scale
-    return eigenvalues, loadings, retained
+    return decomp, loadings, retained
 
 
 def kmo_label(value):
@@ -277,15 +278,15 @@ def factor_scores(z, w):
     return FactorScores(case_ids=z.case_ids, scores=scores)
 
 
-def _singular_cause(r, z):
+def _singular_cause(decomp, z):
     """Why R is singular: fewer cases than variables, or a null space
-    (eigenvalues <= 1e-12, invert_spd's bound). The indicators named are
-    those with an entry above 1e-6 in a null vector."""
+    (eigenvalues <= 1e-12, invert_spd's bound) in R's decomposition
+    ``decomp``. The indicators named are those with an entry above 1e-6
+    in a null vector."""
     n, p = z.values.shape
     if n <= p:
         return (f"the correlation matrix is singular: {n} cases for {p} "
                 "variables; add cases or select fewer variables with --variables")
-    decomp = sym_eigen(r)
     null = decomp.eigenvectors[:, decomp.eigenvalues <= _SPD_MIN_EIGENVALUE]
     # A null vector has at least two such entries: R's diagonal is 1.
     *names, last = (z.indicator_names[j]
@@ -305,11 +306,12 @@ def build_factor_model(z, retention_rule="kaiser", retention_k=None,
     if rotation_method not in ("varimax", "none"):
         raise ValidationError(f"unknown rotation method {rotation_method!r}")
     r = with_stage("correlation", correlation_matrix, z)
-    eigenvalues, unrotated, retained = with_stage(
+    decomp, unrotated, retained = with_stage(
         "extraction", extract_pca, r, rule=retention_rule, k=retention_k)
+    eigenvalues = decomp.eigenvalues
     # After extraction, so that a bad k is reported first; before rotation.
     if eigenvalues[-1] <= _SPD_MIN_EIGENVALUE:
-        raise NumericalError(_singular_cause(r, z), stage="diagnostics")
+        raise NumericalError(_singular_cause(decomp, z), stage="diagnostics")
     if rotation_method == "varimax":
         rot = with_stage("rotation", varimax, unrotated,
                       kaiser_normalize=kaiser_normalize,

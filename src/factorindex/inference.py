@@ -156,31 +156,26 @@ def _finish_t(delta, se, df, level, variant):
     )
 
 
-def t_test_pooled(g1, g2, level=0.95):
-    """Equal-variances two-sample t-test with a confidence interval."""
+def t_tests(g1, g2, level=0.95):
+    """Two-sample t-tests with confidence intervals: ``(pooled, welch)``.
+
+    Pooled assumes equal variances; Welch does not and takes
+    Satterthwaite's degrees of freedom. When both groups are constant,
+    both variants report ``n1 + n2 - 2`` degrees of freedom.
+    """
     _check_probability("confidence level", level)
     a = _as_sample(g1)
     b = _as_sample(g2)
     n1, n2 = a.size, b.size
+    delta = float(a.mean() - b.mean())
+    var1, var2 = a.var(ddof=1), b.var(ddof=1)
     df = n1 + n2 - 2
-    pooled_var = ((n1 - 1) * a.var(ddof=1) + (n2 - 1) * b.var(ddof=1)) / df
-    se = math.sqrt(pooled_var * (1.0 / n1 + 1.0 / n2))
-    return _finish_t(float(a.mean() - b.mean()), se, df, level, "pooled")
-
-
-def t_test_welch(g1, g2, level=0.95):
-    """Unequal-variances (Welch) t-test with Satterthwaite degrees of freedom."""
-    _check_probability("confidence level", level)
-    a = _as_sample(g1)
-    b = _as_sample(g2)
-    n1, n2 = a.size, b.size
-    va = a.var(ddof=1) / n1
-    vb = b.var(ddof=1) / n2
+    se = math.sqrt((((n1 - 1) * var1 + (n2 - 1) * var2) / df) * (1.0 / n1 + 1.0 / n2))
+    va, vb = var1 / n1, var2 / n2
     se2 = va + vb
-    if se2 == 0.0:
-        return _finish_t(float(a.mean() - b.mean()), 0.0, n1 + n2 - 2, level, "welch")
-    df = se2 * se2 / (va * va / (n1 - 1) + vb * vb / (n2 - 1))
-    return _finish_t(float(a.mean() - b.mean()), math.sqrt(se2), df, level, "welch")
+    welch_df = se2 * se2 / (va * va / (n1 - 1) + vb * vb / (n2 - 1)) if se2 else df
+    return (_finish_t(delta, se, df, level, "pooled"),
+            _finish_t(delta, math.sqrt(se2), welch_df, level, "welch"))
 
 
 def compare_groups(ds, group1_ids, group2_ids, variables=None, alpha=0.05,
@@ -243,8 +238,7 @@ def compare_groups(ds, group1_ids, group2_ids, variables=None, alpha=0.05,
                 raise DegenerateDataError("constant within the standardization scope")
             z = (column - scope_means[j]) / scope_sds[j]
             levene = levene_test(z[:n1], z[n1:], center=levene_center)
-            pooled = t_test_pooled(z[:n1], z[n1:], level=ci_level)
-            welch = t_test_welch(z[:n1], z[n1:], level=ci_level)
+            pooled, welch = t_tests(z[:n1], z[n1:], level=ci_level)
         except DegenerateDataError as exc:
             records.append(VariableComparison(name, desc1, desc2, degenerate=True,
                                               note=str(exc)))

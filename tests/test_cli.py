@@ -554,18 +554,23 @@ class TestRowOrder:
                         assert a == b, (seed, name, where)
 
 
+def analyze_table(tmp_path, names, values):
+    """factor_model.json, ranking.json and comparison.json of an ``analyze``
+    run on make_table()'s cases with these columns."""
+    path = write_table_csv(tmp_path / "table.csv", make_table()[0], names, values)
+    out = tmp_path / "out"
+    assert main(["analyze", "--input", path, "--out-dir", str(out)]) == 0
+    return [json.loads((out / name).read_text()) for name in
+            ("factor_model.json", "ranking.json", "comparison.json")]
+
+
 class TestColumnOrder:
     """Reordering the table's columns permutes the indicator rows of the factor
     model and changes no other result (20 seeded permutations)."""
 
     def analyze(self, tmp_path, order):
-        ids, names, values = make_table()
-        path = write_table_csv(tmp_path / "reordered.csv", ids,
-                               [names[j] for j in order], values[:, order])
-        out = tmp_path / "out"
-        assert main(["analyze", "--input", path, "--out-dir", str(out)]) == 0
-        return [json.loads((out / name).read_text()) for name in
-                ("factor_model.json", "ranking.json", "comparison.json")]
+        _, names, values = make_table()
+        return analyze_table(tmp_path, [names[j] for j in order], values[:, order])
 
     def test_reordered_columns_permute_the_indicator_rows(self, tmp_path):
         p = len(make_table()[1])
@@ -591,6 +596,46 @@ class TestColumnOrder:
                                        [e["score"] for e in base_ranking["entries"]],
                                        rtol=0, atol=1e-12, err_msg=str(seed))
             assert {r["name"]: r for r in comparison["variables"]} == base_records, seed
+
+
+class TestRescaling:
+    """Mapping each indicator by x -> a*x + b with a > 0 leaves every
+    standardized result where it was (5 seeded draws). Descriptives are in
+    raw units and are not compared."""
+
+    MODEL_KEYS = ("eigenvalues", "loadings_unrotated", "loadings_rotated",
+                  "score_coefficients")
+
+    def test_rescaled_indicators_give_the_same_results(self, tmp_path):
+        _, names, values = make_table()
+        base_model, base_ranking, base_comparison = analyze_table(tmp_path, names,
+                                                                  values)
+        for seed in range(5):
+            rng = np.random.RandomState(seed)
+            a = rng.uniform(0.01, 100.0, values.shape[1])
+            b = rng.uniform(-1e3, 1e3, values.shape[1])
+            model, ranking, comparison = analyze_table(tmp_path, names, values * a + b)
+            for key in self.MODEL_KEYS:
+                np.testing.assert_allclose(model[key], base_model[key], rtol=0,
+                                           atol=1e-12, err_msg=f"{seed} {key}")
+            np.testing.assert_allclose(model["kmo"]["per_variable"],
+                                       base_model["kmo"]["per_variable"],
+                                       rtol=0, atol=1e-12, err_msg=str(seed))
+            assert ([e["case_id"] for e in ranking["entries"]]
+                    == [e["case_id"] for e in base_ranking["entries"]]), seed
+            np.testing.assert_allclose([e["score"] for e in ranking["entries"]],
+                                       [e["score"] for e in base_ranking["entries"]],
+                                       rtol=0, atol=1e-12, err_msg=str(seed))
+            for key in ("group1_ids", "group2_ids"):
+                assert ranking[key] == base_ranking[key], seed
+            for record, base in zip(comparison["variables"], base_comparison["variables"]):
+                assert record["degenerate"] == base["degenerate"], (seed, base["name"])
+                if base["degenerate"]:
+                    continue
+                moved = [record["levene"][f] - base["levene"][f] for f in ("F", "p")]
+                moved += [record[v][f] - base[v][f] for v in ("pooled", "welch")
+                          for f in ("t", "df", "p_two_tailed")]
+                assert max(map(abs, moved)) <= 1e-10, (seed, base["name"])
 
 
 class TestAllOrNone:
@@ -738,6 +783,12 @@ def test_readme_lists_every_artifact_in_listing_order():
     documented = [name for row in rows
                   for name in re.findall(r"`([^`]+)`", row.split("|")[1])]
     assert documented == [name for name, *_ in pipeline._ARTIFACTS]
+
+
+def test_every_exported_name_is_defined_once():
+    exported = factorindex.__all__
+    assert [name for name in exported if not hasattr(factorindex, name)] == []
+    assert sorted(name for name in set(exported) if exported.count(name) > 1) == []
 
 
 def test_numpy_is_the_only_runtime_dependency(table_csv, tmp_path):

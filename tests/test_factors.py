@@ -57,8 +57,8 @@ class TestCorrelationMatrix:
 class TestExtractPca:
     def test_analytic_two_variable(self):
         r = np.array([[1.0, 0.6], [0.6, 1.0]])
-        eigenvalues, loadings, k = extract_pca(r)
-        np.testing.assert_allclose(eigenvalues, [1.6, 0.4], atol=1e-12)
+        decomp, loadings, k = extract_pca(r)
+        np.testing.assert_allclose(decomp.eigenvalues, [1.6, 0.4], atol=1e-12)
         assert k == 1
         np.testing.assert_allclose(loadings[:, 0], [0.894427, 0.894427],
                                    atol=1e-6)
@@ -66,8 +66,8 @@ class TestExtractPca:
     def test_eigenvalues_sum_to_p(self):
         ids, names, values = make_table(n=50, p=12, seed=5)
         r = correlation_matrix(standardize(dataset_from(ids, names, values)))
-        eigenvalues, _, _ = extract_pca(r, rule="fixed", k=3)
-        assert eigenvalues.sum() == pytest.approx(12.0, abs=1e-9)
+        decomp, _, _ = extract_pca(r, rule="fixed", k=3)
+        assert decomp.eigenvalues.sum() == pytest.approx(12.0, abs=1e-9)
 
     def test_kaiser_on_identity_fails(self):
         with pytest.raises(NumericalError, match="fixed"):
@@ -76,8 +76,8 @@ class TestExtractPca:
     def test_kaiser_excludes_exact_ties_at_one(self):
         # eigenvalues are exactly {1.5, 1.0, 0.5}; only the first qualifies
         r = np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        eigenvalues, _, k = extract_pca(r)
-        np.testing.assert_allclose(eigenvalues, [1.5, 1.0, 0.5], atol=1e-12)
+        decomp, _, k = extract_pca(r)
+        np.testing.assert_allclose(decomp.eigenvalues, [1.5, 1.0, 0.5], atol=1e-12)
         assert k == 1
 
     def test_fixed_k_too_large(self):
@@ -335,6 +335,21 @@ class TestBuildFactorModel:
         # A retention count beyond p is still reported first.
         with pytest.raises(ValidationError, match="cannot retain k=36"):
             build_factor_model(z, retention_rule="fixed", retention_k=36)
+
+    def test_a_singular_r_is_decomposed_once(self, monkeypatch):
+        ids, names, values = make_table()
+        z = standardize(dataset_from(ids, names + ("Copy03",),
+                                     np.column_stack([values, values[:, 3]])))
+        calls, original = [], factors.sym_eigen
+
+        def counted(r):
+            calls.append(r)
+            return original(r)
+        monkeypatch.setattr(factors, "sym_eigen", counted)
+        with pytest.raises(NumericalError, match="Ind03 and Copy03 are collinear"):
+            build_factor_model(z)
+        # Extraction's decomposition also names the null space.
+        assert len(calls) == 1
 
     def test_one_indicator_is_too_few(self):
         # KMO needs an off-diagonal correlation.

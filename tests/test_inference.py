@@ -7,7 +7,7 @@ import pytest
 from factorindex.dataset import standardize
 from factorindex.errors import DegenerateDataError, ValidationError
 from factorindex.inference import (compare_groups, group_descriptives,
-                                   levene_test, t_test_pooled, t_test_welch)
+                                   levene_test, t_tests)
 from factorindex.numkernel import t_quantile, t_two_tailed_p
 
 from conftest import dataset_from
@@ -92,12 +92,12 @@ class TestLevene:
 
 class TestPooledT:
     def test_equal_groups(self):
-        result = t_test_pooled([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+        result = t_tests([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])[0]
         assert result.t == 0.0
         assert result.p_two_tailed == pytest.approx(1.0)
 
     def test_hand_arithmetic(self):
-        result = t_test_pooled([1.0, 2.0, 3.0], [3.0, 4.0, 5.0])
+        result = t_tests([1.0, 2.0, 3.0], [3.0, 4.0, 5.0])[0]
         assert result.mean_difference == pytest.approx(-2.0)
         assert result.se_difference == pytest.approx(math.sqrt(2.0 / 3.0), abs=1e-12)
         assert result.t == pytest.approx(-2.449, abs=0.001)
@@ -114,7 +114,7 @@ class TestPooledT:
     def test_ci_invariant(self):
         rng = np.random.RandomState(13)
         for _ in range(20):
-            result = t_test_pooled(rng.randn(6), rng.randn(9) + 0.4, level=0.9)
+            result = t_tests(rng.randn(6), rng.randn(9) + 0.4, level=0.9)[0]
             assert abs(result.t - result.mean_difference / result.se_difference) < 1e-9
             margin = t_quantile(0.95, result.df) * result.se_difference
             assert result.ci_low == pytest.approx(result.mean_difference - margin,
@@ -123,19 +123,17 @@ class TestPooledT:
                                                    abs=1e-9)
             assert result.ci_low <= result.mean_difference <= result.ci_high
 
-    @pytest.mark.parametrize("test", [t_test_pooled, t_test_welch],
-                             ids=["pooled", "welch"])
-    def test_degenerate_zero_variance_equal_means(self, test):
-        result = test([4.0, 4.0, 4.0], [4.0, 4.0])
+    @pytest.mark.parametrize("variant", [0, 1], ids=["pooled", "welch"])
+    def test_degenerate_zero_variance_equal_means(self, variant):
+        result = t_tests([4.0, 4.0, 4.0], [4.0, 4.0])[variant]
         assert result.degenerate
         assert result.t == 0.0 and result.p_two_tailed == 1.0
         assert isinstance(result.df, float) and result.df == 3.0
 
-    @pytest.mark.parametrize("test", [t_test_pooled, t_test_welch],
-                             ids=["pooled", "welch"])
-    def test_degenerate_zero_variance_unequal_means(self, test):
+    @pytest.mark.parametrize("variant", [0, 1], ids=["pooled", "welch"])
+    def test_degenerate_zero_variance_unequal_means(self, variant):
         with pytest.raises(DegenerateDataError):
-            test([4.0, 4.0], [5.0, 5.0])
+            t_tests([4.0, 4.0], [5.0, 5.0])[variant]
 
 
 class TestWelchT:
@@ -144,15 +142,14 @@ class TestWelchT:
         for _ in range(50):
             g1 = rng.randn(8) * 1.7 + 0.3
             g2 = g1 + rng.uniform(-2.0, 2.0)  # identical variance, shifted
-            pooled = t_test_pooled(g1, g2)
-            welch = t_test_welch(g1, g2)
+            pooled, welch = t_tests(g1, g2)
             assert abs(welch.df - pooled.df) < 1e-10
             assert abs(welch.t - pooled.t) < 1e-10
 
     def test_matches_first_principles(self):
         g1 = np.array([1.0, 2.0, 3.0])
         g2 = np.array([10.0, 20.0, 30.0])
-        result = t_test_welch(g1, g2)
+        result = t_tests(g1, g2)[1]
         v1 = g1.var(ddof=1) / 3
         v2 = g2.var(ddof=1) / 3
         se = math.sqrt(v1 + v2)
@@ -162,7 +159,7 @@ class TestWelchT:
         assert result.t == pytest.approx((2.0 - 20.0) / se, abs=1e-10)
 
     def test_equal_groups(self):
-        result = t_test_welch([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+        result = t_tests([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])[1]
         assert result.t == 0.0
         assert result.p_two_tailed == pytest.approx(1.0)
 
@@ -170,12 +167,12 @@ class TestWelchT:
 class TestTTestProperties:
     def test_antisymmetry(self):
         rng = np.random.RandomState(19)
-        for variant in (t_test_pooled, t_test_welch):
+        for variant in (0, 1):
             for _ in range(50):
                 g1 = rng.randn(7) * 2.0
                 g2 = rng.randn(9) + 1.0
-                fwd = variant(g1, g2)
-                rev = variant(g2, g1)
+                fwd = t_tests(g1, g2)[variant]
+                rev = t_tests(g2, g1)[variant]
                 assert abs(fwd.t + rev.t) < 1e-10
                 assert abs(fwd.mean_difference + rev.mean_difference) < 1e-10
                 assert abs(fwd.p_two_tailed - rev.p_two_tailed) < 1e-10
@@ -184,14 +181,14 @@ class TestTTestProperties:
 
     def test_affine_invariance(self):
         rng = np.random.RandomState(23)
-        for variant in (t_test_pooled, t_test_welch):
+        for variant in (0, 1):
             for _ in range(50):
                 g1 = rng.randn(6)
                 g2 = rng.randn(8) * 1.3 + 0.2
                 a = rng.uniform(0.1, 5.0) * rng.choice([-1.0, 1.0])
                 b = rng.uniform(-10.0, 10.0)
-                base = variant(g1, g2)
-                moved = variant(a * g1 + b, a * g2 + b)
+                base = t_tests(g1, g2)[variant]
+                moved = t_tests(a * g1 + b, a * g2 + b)[variant]
                 assert abs(abs(moved.t) - abs(base.t)) < 1e-10
                 assert abs(moved.df - base.df) < 1e-10
                 assert abs(moved.p_two_tailed - base.p_two_tailed) < 1e-10
