@@ -266,15 +266,18 @@ def _parse_row(row, row_number, width, id_index, indicator_names, missing_policy
 
 
 def column_moments(values, names):
-    """Column means and sample (n-1) sds of ``values``, whose columns are
-    ``names``; a column whose mean or sd overflows is rejected by name."""
+    """Column means, sample (n-1) sds and constant mask of ``values``, whose
+    columns are ``names``. A column is constant when its values are all equal
+    (their sd need not round to 0) or its sd is at most 1e-12; one whose mean
+    or sd overflows is rejected by name."""
     with np.errstate(over="ignore", invalid="ignore"):
         means = values.mean(axis=0)
         sds = values.std(axis=0, ddof=1)
     bad = np.flatnonzero(~(np.isfinite(means) & np.isfinite(sds)))
     if bad.size:
         raise ValidationError(f"{names[bad[0]]}: values too large to standardize")
-    return means, sds
+    constant = (sds <= _ZERO_SD) | (values.min(axis=0) == values.max(axis=0))
+    return means, sds, constant
 
 
 def standardize(ds):
@@ -284,10 +287,10 @@ def standardize(ds):
     the indicator.
     """
     values = ds.values
-    means, sds = column_moments(values, ds.indicator_names)
-    for name, sd in zip(ds.indicator_names, sds):
-        if sd <= _ZERO_SD:
-            raise ValidationError(f"zero variance: {name}")
+    means, sds, constant = column_moments(values, ds.indicator_names)
+    first = np.flatnonzero(constant)
+    if first.size:
+        raise ValidationError(f"zero variance: {ds.indicator_names[first[0]]}")
     z = (values - means) / sds
     return StandardizedMatrix(
         values=z,

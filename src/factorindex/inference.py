@@ -7,6 +7,7 @@ reported one chosen by Levene's test.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,7 +174,14 @@ def t_tests(g1, g2, level=0.95):
     se = math.sqrt((((n1 - 1) * var1 + (n2 - 1) * var2) / df) * (1.0 / n1 + 1.0 / n2))
     va, vb = var1 / n1, var2 / n2
     se2 = va + vb
-    welch_df = se2 * se2 / (va * va / (n1 - 1) + vb * vb / (n2 - 1)) if se2 else df
+    spread = va * va / (n1 - 1) + vb * vb / (n2 - 1)
+    if not se2:
+        welch_df = df
+    elif spread >= sys.float_info.min:
+        welch_df = se2 * se2 / spread
+    else:  # the squares underflow: Satterthwaite's ratio in shares of se2
+        sa, sb = va / se2, vb / se2
+        welch_df = 1.0 / (sa * sa / (n1 - 1) + sb * sb / (n2 - 1))
     return (_finish_t(delta, se, df, level, "pooled"),
             _finish_t(delta, math.sqrt(se2), welch_df, level, "welch"))
 
@@ -189,11 +197,10 @@ def compare_groups(ds, group1_ids, group2_ids, variables=None, alpha=0.05,
     z-scores taken over ``standardize_scope``: ``"selected"`` standardizes
     over just the compared cases, ``"all"`` over the whole dataset. The
     reported variant is pooled when Levene's p exceeds ``alpha_levene``,
-    Welch otherwise. A variable whose sd within the scope is at most
-    standardize's zero-variance bound is marked degenerate and skipped; the
-    rest of the report proceeds; one whose mean or sd within the scope
-    overflows stops it, by name. Each group's rows are read in its id
-    list's order, whatever the row order of ``ds``.
+    Welch otherwise. A variable that ``column_moments`` finds constant within
+    the scope is marked degenerate and skipped, and the report proceeds; one
+    whose mean or sd within the scope overflows stops it, by name. Each
+    group's rows are read in id-list order, whatever the row order of ``ds``.
     """
     if standardize_scope not in ("selected", "all"):
         raise ValidationError(
@@ -226,7 +233,7 @@ def compare_groups(ds, group1_ids, group2_ids, variables=None, alpha=0.05,
     del row_of  # not held through the scope statistics
 
     scope = block if standardize_scope == "selected" else sub.values
-    scope_means, scope_sds = ds_mod.column_moments(scope, sub.indicator_names)
+    scope_means, scope_sds, constant = ds_mod.column_moments(scope, sub.indicator_names)
 
     records = []
     for j, name in enumerate(sub.indicator_names):
@@ -234,7 +241,7 @@ def compare_groups(ds, group1_ids, group2_ids, variables=None, alpha=0.05,
         desc1 = group_descriptives(column[:n1])
         desc2 = group_descriptives(column[n1:])
         try:
-            if scope_sds[j] <= ds_mod._ZERO_SD:
+            if constant[j]:
                 raise DegenerateDataError("constant within the standardization scope")
             z = (column - scope_means[j]) / scope_sds[j]
             levene = levene_test(z[:n1], z[n1:], center=levene_center)

@@ -7,9 +7,9 @@ confidence intervals) reduces to the primitives here:
   check, descending order, canonical eigenvector signs
 * :func:`invert_spd` — SPD inverse through the eigendecomposition
 * :func:`reg_incomplete_beta` — regularized incomplete beta I_x(a, b)
-* :func:`t_two_tailed_p` / :func:`f_tail_p` — Student-t and F tail
-  probabilities expressed through the incomplete beta, with the complement
-  1 - x formed from the statistic so that small statistics keep their digits
+* :func:`f_tail_p` — F tail probability through the incomplete beta, with
+  the complement 1 - x formed from the statistic so that small statistics
+  keep their digits; :func:`t_two_tailed_p` is its tail of t^2 on 1 and df
 * :func:`t_quantile` — Student-t quantile by safeguarded Newton steps on
   that t tail, within 1e-10 relative of the exact quantile
 
@@ -177,29 +177,12 @@ def reg_incomplete_beta(a, b, x):
     return 1.0 - front * _beta_continued_fraction(b, a, 1.0 - x) / b
 
 
-def _beta_tail(a, b, x, y):
-    """I_x(a, b) where the caller formed ``y = 1 - x`` without cancellation.
-
-    Past the continued fraction's switch point the result is taken as
-    1 - I_y(b, a) from ``y`` itself: recomputing 1 - x from an ``x`` close to
-    1 would keep only the digits of ``x`` that differ from 1. Below it,
-    I_x(a, b) is evaluated directly, so a small result keeps its relative
-    precision.
-    """
-    if x <= (a + 1.0) / (a + b + 2.0):
-        return reg_incomplete_beta(a, b, x)
-    return 1.0 - reg_incomplete_beta(b, a, y)
-
-
 def t_two_tailed_p(t, df):
-    """Two-tailed p-value of a Student-t statistic with ``df`` degrees of freedom."""
+    """Two-tailed Student-t p-value: the F tail of t^2 on 1 and ``df`` degrees of freedom."""
     if not df > 0.0:
         raise ValidationError(f"degrees of freedom must be positive, got {df!r}")
     t = float(t)
-    if t == 0.0:
-        return 1.0
-    t2 = t * t
-    return _beta_tail(df / 2.0, 0.5, df / (df + t2), t2 / (df + t2))
+    return f_tail_p(t * t, 1, df)
 
 
 # Acklam's rational approximation to the standard normal quantile
@@ -319,4 +302,11 @@ def f_tail_p(f, df1, df2):
     if f == 0.0:
         return 1.0
     scaled = df1 * f
-    return _beta_tail(df2 / 2.0, df1 / 2.0, df2 / (df2 + scaled), scaled / (df2 + scaled))
+    a, b = df2 / 2.0, df1 / 2.0
+    x = df2 / (df2 + scaled)
+    if x <= (a + 1.0) / (a + b + 2.0):
+        return reg_incomplete_beta(a, b, x)
+    # Past the continued fraction's switch point the tail is 1 - I_y(b, a),
+    # with y = 1 - x formed from the statistic: recomputing 1 - x from an x
+    # close to 1 would keep only the digits of x that differ from 1.
+    return 1.0 - reg_incomplete_beta(b, a, scaled / (df2 + scaled))

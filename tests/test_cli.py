@@ -91,6 +91,16 @@ class TestAnalyze:
         assert "floor(n/2) = 44" in err and "88" in err
         assert not (tmp_path / "x").exists()  # no partial outputs
 
+    @pytest.mark.parametrize("level", [3.3, 123456.789, 987654321.123])
+    def test_a_constant_column_exits_2_at_any_magnitude(self, tmp_path, capsys, level):
+        ids, names, values = make_table()
+        path = write_table_csv(tmp_path / "table.csv", ids, names + ("Const",),
+                               np.column_stack([values, np.full(len(ids), level)]))
+        out = tmp_path / "out"
+        assert main(["analyze", "--input", path, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == "error: zero variance: Const\n"
+        assert not out.exists()
+
     def test_kaiser_with_identity_correlation_exits_3(self, tmp_path, capsys):
         path = write_identity_correlation_csv(tmp_path)
         rc = main(["analyze", "--input", path, "--out-dir",
@@ -268,6 +278,20 @@ class TestSubcommands:
         parsed = json.loads((out / "comparison.json").read_text())
         assert parsed["group1_ids"] == list(ids[:10])
         assert len(parsed["variables"]) == 34
+
+    @pytest.mark.parametrize("scale", [1e-80, 1e-100])
+    def test_compare_welch_df_when_the_variance_terms_underflow(self, tmp_path, capsys,
+                                                                scale):
+        ids = ["g1a", "g1b", "g1c", "g2a", "g2b", "g2c"] + [f"o{i}" for i in range(6)]
+        column = [v * scale for v in (1, 2, 4, 3, 5, 9)] + [1, -1, 2, -2, 3, -3]
+        path = write_table_csv(tmp_path / "table.csv", ids, ["v"], [[v] for v in column])
+        out = tmp_path / "cmp"
+        assert main(["compare", "--input", path, "--out-dir", str(out),
+                     "--group1", "g1a,g1b,g1c", "--group2", "g2a,g2b,g2c",
+                     "--standardize-scope", "all"]) == 0
+        assert capsys.readouterr().err == ""
+        record, = json.loads((out / "comparison.json").read_text())["variables"]
+        assert record["welch"]["df"] == pytest.approx(50.0 / 17.0, rel=1e-12, abs=0.0)
 
     def test_compare_rejects_a_repeated_id(self, table_csv, tmp_path, capsys):
         out = tmp_path / "cmp"

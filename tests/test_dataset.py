@@ -243,6 +243,16 @@ class TestStandardize:
         with pytest.raises(ValidationError, match="zero variance: flat"):
             standardize(ds)
 
+    @pytest.mark.parametrize("n", [88, 2000])
+    @pytest.mark.parametrize("level", [123456.789, 987654321.123])
+    def test_constant_column_named_at_any_magnitude(self, n, level):
+        # The rounded mean of these equal values leaves an sd above 1e-12.
+        values = np.column_stack([np.arange(n, dtype=float), np.full(n, level)])
+        ds = dataset_from([f"c{i}" for i in range(n)], ["x", "flat"], values)
+        assert values[:, 1].std(ddof=1) > 1e-12
+        with pytest.raises(ValidationError, match="^zero variance: flat$"):
+            standardize(ds)
+
     @pytest.mark.parametrize("scale", [1e300, 1e307])  # the sd, the mean overflows
     def test_a_column_too_large_is_named(self, scale):
         values = np.random.RandomState(7).randn(40, 3)

@@ -158,6 +158,15 @@ class TestWelchT:
         assert result.df == pytest.approx(df, abs=1e-10)
         assert result.t == pytest.approx((2.0 - 20.0) / se, abs=1e-10)
 
+    @pytest.mark.parametrize("scale", [1e-60, 1e-80, 1e-100, 1e-120])
+    def test_df_when_the_variance_terms_underflow(self, scale):
+        g1, g2 = np.array([1.0, 2.0, 4.0]), np.array([3.0, 5.0, 9.0])
+        unit = t_tests(g1, g2)[1]
+        result = t_tests(g1 * scale, g2 * scale)[1]
+        assert result.df == pytest.approx(50.0 / 17.0, rel=1e-12, abs=0.0)
+        assert result.t == pytest.approx(unit.t, abs=1e-12)
+        assert result.p_two_tailed == pytest.approx(unit.p_two_tailed, abs=1e-12)
+
     def test_equal_groups(self):
         result = t_tests([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])[1]
         assert result.t == 0.0
@@ -325,6 +334,17 @@ class TestCompareGroups:
         ds = dataset_from(ids, ["x"], np.full((6, 1), 2.0))
         with pytest.raises(ValidationError, match=message):
             compare_groups(ds, ids[:3], ids[3:], **{option: value})
+
+    @pytest.mark.parametrize("scope", ["selected", "all"])
+    def test_equal_values_are_constant_at_any_magnitude(self, scope):
+        ds = two_group_dataset(np.random.RandomState(73), n=30)
+        values = ds.values.copy()
+        values[:, 1] = 123456.789  # its computed sd is 1.5e-11 over 20 rows, 3e-11 over 30
+        ds = dataset_from(ds.case_ids, ds.indicator_names, values)
+        report = compare_groups(ds, ds.case_ids[:10], ds.case_ids[-10:],
+                                standardize_scope=scope)
+        assert report.variables[1].degenerate
+        assert report.variables[1].note == "constant within the standardization scope"
 
     @pytest.mark.parametrize("spread, constant", [(1e-12, True), (4e-12, False)])
     def test_degenerate_bound_is_the_zero_variance_rule(self, spread, constant):

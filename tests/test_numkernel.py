@@ -15,6 +15,19 @@ QUANTILE_DFS = tuple(float(df) for df in np.logspace(0.0, 5.0, 11))
 QUANTILE_PROBS = (1e-6, 1e-4, 0.01, 0.025, 0.1, 0.3, 0.5001, 0.9, 0.975, 0.999, 0.9999)
 
 
+@pytest.fixture()
+def beta_calls(monkeypatch):
+    """The ``(a, b, x)`` of every ``reg_incomplete_beta`` call made from numkernel."""
+    calls = []
+
+    def counted(a, b, x):
+        calls.append((a, b, x))
+        return reg_incomplete_beta(a, b, x)
+
+    monkeypatch.setattr(numkernel, "reg_incomplete_beta", counted)
+    return calls
+
+
 class TestSymEigen:
     def test_identity(self):
         d = sym_eigen(np.eye(3))
@@ -218,20 +231,13 @@ class TestTQuantile:
                     stats.t.ppf(prob, df), rel=1e-9, abs=0.0
                 ), (prob, df)
 
-    def test_few_incomplete_beta_evaluations(self, monkeypatch):
+    def test_few_incomplete_beta_evaluations(self, beta_calls):
         # A slide back to bisection would take about 62 per quantile.
-        calls = []
-
-        def counted(a, b, x):
-            calls.append(x)
-            return reg_incomplete_beta(a, b, x)
-
-        monkeypatch.setattr(numkernel, "reg_incomplete_beta", counted)
         for df in QUANTILE_DFS:
             for prob in QUANTILE_PROBS:
-                calls.clear()
+                beta_calls.clear()
                 t_quantile(prob, df)
-                assert 0 < len(calls) <= 25, (prob, df, len(calls))
+                assert 0 < len(beta_calls) <= 25, (prob, df, len(beta_calls))
 
     def test_domain_errors(self):
         with pytest.raises(ValidationError):
@@ -253,10 +259,26 @@ class TestFTail:
 
     def test_t_squared_identity(self):
         rng = np.random.RandomState(23)
-        for _ in range(50):
-            t = float(rng.uniform(-4, 4))
-            df2 = float(rng.uniform(2, 50))
-            assert abs(f_tail_p(t * t, 1, df2) - t_two_tailed_p(t, df2)) < 1e-10
+        points = [(float(rng.uniform(-4, 4)), float(rng.uniform(2, 50)))
+                  for _ in range(50)]
+        # t^2 underflows to 0 at 1e-170 and overflows at 1e200
+        points += [(t, df2) for t in (0.0, 1e-170, -1e-170, 1e-9, 1.5, 1e200, math.inf)
+                   for df2 in (1.0, 18.0, 1e5, 1e12)]
+        for t, df2 in points:
+            assert f_tail_p(t * t, 1, df2) == t_two_tailed_p(t, df2), (t, df2)
+
+    def test_one_incomplete_beta_evaluation_per_tail(self, beta_calls):
+        # Past the switch point the call is I_y(b, a), with the smaller shape first.
+        switched = set()
+        for stat in (1e-4, 0.3, 1.5, 4.0):
+            for df in (3.0, 18.0, 1e5):
+                for tail in (lambda: t_two_tailed_p(stat, df),
+                             lambda: f_tail_p(stat, 2.5, df)):
+                    beta_calls.clear()
+                    tail()
+                    assert len(beta_calls) == 1, (stat, df, beta_calls)
+                    switched.add(beta_calls[0][0] < beta_calls[0][1])
+        assert switched == {False, True}
 
     def test_matches_scipy(self):
         rng = np.random.RandomState(29)
@@ -281,3 +303,7 @@ class TestFTail:
             f_tail_p(1.0, 0, 18)
         with pytest.raises(ValidationError):
             f_tail_p(1.0, 1, 0)
+        with pytest.raises(ValidationError):
+            f_tail_p(math.nan, 1, 18)
+        with pytest.raises(ValidationError):
+            t_two_tailed_p(math.nan, 18)
