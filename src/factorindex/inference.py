@@ -7,7 +7,6 @@ reported one chosen by Levene's test.
 """
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,14 +173,11 @@ def t_tests(g1, g2, level=0.95):
     se = math.sqrt((((n1 - 1) * var1 + (n2 - 1) * var2) / df) * (1.0 / n1 + 1.0 / n2))
     va, vb = var1 / n1, var2 / n2
     se2 = va + vb
-    spread = va * va / (n1 - 1) + vb * vb / (n2 - 1)
-    if not se2:
-        welch_df = df
-    elif spread >= sys.float_info.min:
-        welch_df = se2 * se2 / spread
-    else:  # the squares underflow: Satterthwaite's ratio in shares of se2
+    if se2:  # Satterthwaite's ratio in shares of se2: no square under- or overflows
         sa, sb = va / se2, vb / se2
         welch_df = 1.0 / (sa * sa / (n1 - 1) + sb * sb / (n2 - 1))
+    else:
+        welch_df = df
     return (_finish_t(delta, se, df, level, "pooled"),
             _finish_t(delta, math.sqrt(se2), welch_df, level, "welch"))
 

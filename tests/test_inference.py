@@ -167,6 +167,15 @@ class TestWelchT:
         assert result.t == pytest.approx(unit.t, abs=1e-12)
         assert result.p_two_tailed == pytest.approx(unit.p_two_tailed, abs=1e-12)
 
+    @pytest.mark.parametrize("scale", [1e150, 1e153])
+    def test_df_when_the_squared_variance_terms_overflow(self, scale):
+        g1, g2 = np.array([1.0, 2.0, 4.0]), np.array([3.0, 5.0, 9.0])
+        unit = t_tests(g1, g2)[1]
+        result = t_tests(g1 * scale, g2 * scale)[1]
+        assert result.df == pytest.approx(50.0 / 17.0, rel=1e-12, abs=0.0)
+        assert result.t == pytest.approx(unit.t, abs=1e-12)
+        assert result.p_two_tailed == pytest.approx(unit.p_two_tailed, abs=1e-12)
+
     def test_equal_groups(self):
         result = t_tests([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])[1]
         assert result.t == 0.0
