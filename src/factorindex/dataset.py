@@ -269,10 +269,21 @@ def column_moments(values, names):
     """Column means, sample (n-1) sds and constant mask of ``values``, whose
     columns are ``names``. A column is constant when its values are all equal
     (their sd need not round to 0) or its sd is at most 1e-12; one whose mean
-    or sd overflows is rejected by name."""
+    or sd overflows is rejected by name.
+
+    The sums are taken in row blocks of about ``_CHUNK_CELLS`` cells, each
+    block's sum starting from the running total, which is numpy's own axis-0
+    order for a C-ordered table. So the means and sds are bit for bit
+    ``values.mean(axis=0)`` and ``values.std(axis=0, ddof=1)``, whatever the
+    block size, without their table-sized temporary. numpy sums a single
+    column pairwise instead, so one column is one block.
+    """
+    n, p = values.shape
+    rows = n if p == 1 else max(1, _CHUNK_CELLS // p)
+    buffer = np.empty((min(rows, n) + 1, p))  # running total, then a block
     with np.errstate(over="ignore", invalid="ignore"):
-        means = values.mean(axis=0)
-        sds = values.std(axis=0, ddof=1)
+        means = _row_sum(values, rows, buffer) / n
+        sds = np.sqrt(_row_sum(values, rows, buffer, means) / (n - 1))
     bad = np.flatnonzero(~(np.isfinite(means) & np.isfinite(sds)))
     if bad.size:
         raise ValidationError(f"{names[bad[0]]}: values too large to standardize")
@@ -280,18 +291,40 @@ def column_moments(values, names):
     return means, sds, constant
 
 
+def _row_sum(values, rows, buffer, center=None):
+    """Column sums of ``values``, or of its squared deviations from
+    ``center``, added row after row through ``buffer``, ``rows`` at a time."""
+    total = None
+    for start in range(0, len(values), rows):
+        block = values[start:start + rows]
+        head = 0 if total is None else 1
+        part = buffer[:head + len(block)]
+        if head:
+            part[0] = total
+        out = part[head:]
+        if center is None:
+            out[...] = block
+        else:
+            np.subtract(block, center, out=out)
+            np.multiply(out, out, out=out)
+        total = part.sum(axis=0)
+    return total
+
+
 def standardize(ds):
     """Column-wise z-scores of a dataset using the sample (n-1) deviation.
 
     Raises on any constant column, or one too large to standardize, naming
-    the indicator.
+    the indicator. The z-scores are the one table-sized array made: they are
+    divided by the sds in place.
     """
     values = ds.values
     means, sds, constant = column_moments(values, ds.indicator_names)
     first = np.flatnonzero(constant)
     if first.size:
         raise ValidationError(f"zero variance: {ds.indicator_names[first[0]]}")
-    z = (values - means) / sds
+    z = values - means
+    z /= sds
     return StandardizedMatrix(
         values=z,
         column_means=means,

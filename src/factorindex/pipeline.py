@@ -101,6 +101,7 @@ def run_pipeline(config, stage="analyze"):
 
     if "ranking" in steps:
         scores = with_stage("scoring", factor_scores, z, model.score_coefficients)
+        del z  # the ranking's per-case objects reuse its memory
         ranked = rank_by_factor(scores, config.ranking_factor,
                                 config.ranking_direction)
         ranked = with_groups(ranked, config.ranking_k)

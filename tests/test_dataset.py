@@ -262,6 +262,71 @@ class TestStandardize:
                            match="^huge: values too large to standardize$"):
             standardize(ds)
 
+    @pytest.mark.parametrize("what", ["mean", "sd"])
+    def test_an_overflow_in_a_later_block_is_named(self, what):
+        # "huge" is finite over the first row block and "big" is not; the
+        # first bad column is still the one named.
+        p = 4
+        rows = dataset._CHUNK_CELLS // p
+        n = 3 * rows + 1
+        values = np.random.RandomState(8).randn(n, p)
+        if what == "mean":
+            values[rows:, 1] = 1e307
+        else:
+            values[rows:, 1] = 1e300 * (-1.0) ** np.arange(n - rows)
+        values[:, 3] = 1e308
+        ds = dataset_from([f"c{i}" for i in range(n)], ["x", "huge", "y", "big"],
+                          values)
+        assert np.isfinite(values[:rows, 1].sum()) and np.isfinite(
+            (values[:rows, 1] ** 2).sum())
+        with pytest.raises(ValidationError,
+                           match="^huge: values too large to standardize$"):
+            standardize(ds)
+
+    @pytest.mark.parametrize("p", [2, 7, 40, 120])
+    @pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (3, 1)])
+    def test_moments_are_numpys_bit_for_bit(self, p, blocks, extra):
+        # n is one row short of a block, one block, and one row past 1 or 3.
+        self.check_numpys_moments(blocks * (dataset._CHUNK_CELLS // p) + extra, p)
+
+    def test_one_column_is_summed_pairwise_like_numpy(self):
+        self.check_numpys_moments(24_500, 1)
+
+    def test_equal_values_at_large_magnitude_match_numpy(self):
+        self.check_numpys_moments(3 * (dataset._CHUNK_CELLS // 3) + 1, 3,
+                                  flat=987654321.123)
+
+    @staticmethod
+    def check_numpys_moments(n, p, flat=None):
+        rng = np.random.RandomState(n * 1000 + p)
+        x = rng.randn(n, p) * rng.uniform(0.5, 1e4, p) + rng.uniform(-1e6, 1e6, p)
+        if flat is not None:
+            x[:, 0] = flat
+        names = [f"v{j}" for j in range(p)]
+        means, sds, constant = dataset.column_moments(x, names)
+        assert np.array_equal(means, x.mean(axis=0))
+        assert np.array_equal(sds, x.std(axis=0, ddof=1))
+        assert np.array_equal(
+            constant, (x.std(axis=0, ddof=1) <= 1e-12) | (x.min(axis=0) == x.max(axis=0)))
+        assert constant[0] == (flat is not None)
+        if flat is None:
+            z = standardize(dataset_from([f"c{i}" for i in range(n)], names, x))
+            assert z.values.tobytes() == ((x - means) / sds).tobytes()
+
+    def test_peak_memory_is_the_z_scores(self):
+        # The moments need no table-sized temporary and z is divided in place;
+        # (values - means) / sds peaks at 2x the table.
+        n, p = 10_000, 40
+        ds = dataset_from([f"c{i}" for i in range(n)], [f"v{j}" for j in range(p)],
+                          np.random.RandomState(6).randn(n, p))
+        tracemalloc.start()
+        try:
+            standardize(ds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * ds.values.nbytes, peak / ds.values.nbytes
+
     def test_moments_match_independent_recompute(self):
         rng = np.random.RandomState(3)
         x = rng.randn(20, 4) * rng.uniform(0.5, 9.0, 4) + rng.uniform(-5, 5, 4)

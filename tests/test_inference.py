@@ -374,11 +374,14 @@ class TestCompareGroups:
                                 variables=["v3", "v0", "v4"])
         assert [r.name for r in report.variables] == ["v3", "v0", "v4"]
 
-    def test_all_variables_are_read_without_a_copy(self):
+    @pytest.mark.parametrize("scope", ["selected", "all"])
+    def test_all_variables_are_read_without_a_copy(self, scope):
+        # Under "all" the scope statistics read the whole table in row blocks.
         ds = two_group_dataset(np.random.RandomState(79), n=10_000, p=40)
         tracemalloc.start()
         try:
-            compare_groups(ds, ds.case_ids[:10], ds.case_ids[-10:])
+            compare_groups(ds, ds.case_ids[:10], ds.case_ids[-10:],
+                           standardize_scope=scope)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
