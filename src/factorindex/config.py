@@ -91,6 +91,12 @@ def _real(low, high=math.inf):
                   f"a finite number in ({low:g}, {high:g})", type=float)
 
 
+# The interval's t quantile is taken at (1 + level) / 2, which rounds to 1
+# at the float just below 1.
+_level = _check(lambda v: _is_number(v) and 0.0 < v < 1.0 and (1.0 + v) / 2.0 < 1.0,
+                "a number in (0, 1) with (1 + level) / 2 below 1", type=float)
+
+
 def _choice(*allowed):
     return _check(lambda v: v in allowed,
                   f"one of {', '.join(map(repr, allowed))}", choices=list(allowed))
@@ -161,7 +167,7 @@ class PipelineConfig:
                            "comparison")
     alpha_levene: float = _option("comparison.alpha_levene", _real(0.0, 1.0), 0.05,
                                   "--alpha-levene", "comparison")
-    ci_level: float = _option("comparison.ci_level", _real(0.0, 1.0), 0.95,
+    ci_level: float = _option("comparison.ci_level", _level, 0.95,
                               "--ci-level", "comparison")
     standardize_scope: str = _option("comparison.standardize_scope",
                                      _choice("selected", "all"), "selected",

@@ -18,7 +18,6 @@ import numpy as np
 from .errors import ValidationError
 
 _MIN_CASES = 3
-_ZERO_SD = 1e-12
 _CHUNK_CELLS = 4096  # cells per parse block; bounds the text held at once
 
 
@@ -268,8 +267,10 @@ def _parse_row(row, row_number, width, id_index, indicator_names, missing_policy
 def column_moments(values, names):
     """Column means, sample (n-1) sds and constant mask of ``values``, whose
     columns are ``names``. A column is constant when its values are all equal
-    (their sd need not round to 0) or its sd is at most 1e-12; one whose mean
-    or sd overflows is rejected by name.
+    (their sd need not round to 0) or its sd is exactly 0 (their squared
+    deviations underflow). The rule is free of scale: any other column is
+    standardized, however small its spread. One whose mean or sd overflows is
+    rejected by name.
 
     The sums are taken in row blocks of about ``_CHUNK_CELLS`` cells, each
     block's sum starting from the running total, which is numpy's own axis-0
@@ -287,7 +288,7 @@ def column_moments(values, names):
     bad = np.flatnonzero(~(np.isfinite(means) & np.isfinite(sds)))
     if bad.size:
         raise ValidationError(f"{names[bad[0]]}: values too large to standardize")
-    constant = (sds <= _ZERO_SD) | (values.min(axis=0) == values.max(axis=0))
+    constant = (sds == 0.0) | (values.min(axis=0) == values.max(axis=0))
     return means, sds, constant
 
 

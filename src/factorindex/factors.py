@@ -196,10 +196,6 @@ def varimax(loadings, kaiser_normalize=True, tol=DEFAULT_ROTATION_TOL,
         raise ValidationError("max_iter must be >= 1")
 
     rotation = np.eye(k)
-    if k == 1:
-        out, rotation = _canonicalize_columns(a, rotation)
-        return VarimaxResult(out, rotation, (_varimax_criterion(out),), True, 0)
-
     h = np.sqrt(np.sum(a * a, axis=1))
     scale = np.where(h > DEFAULT_ROTATION_TOL, h, 1.0) if kaiser_normalize else np.ones(p)
     b = a / scale[:, None]

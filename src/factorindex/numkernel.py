@@ -11,12 +11,15 @@ confidence intervals) reduces to the primitives here:
   the complement 1 - x formed from the statistic so that small statistics
   keep their digits; :func:`t_two_tailed_p` is its tail of t^2 on 1 and df
 * :func:`t_quantile` — Student-t quantile by safeguarded Newton steps on
-  that t tail, within 1e-10 relative of the exact quantile
+  that t tail, started from the standard library's normal quantile
+  (``statistics.NormalDist().inv_cdf``), within 1e-10 relative of the
+  exact quantile after 2 to 11 incomplete-beta evaluations
 
 All functions are pure and deterministic: no randomness, no hidden state.
 """
 
 import math
+import statistics
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,45 +188,16 @@ def t_two_tailed_p(t, df):
     return f_tail_p(t * t, 1, df)
 
 
-# Acklam's rational approximation to the standard normal quantile
-# (relative error below 1.2e-9): central region and upper tail. It only
-# starts the Newton iteration, which removes its error.
-_NORM_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-           1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_NORM_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-           6.680131188771972e+01, -1.328068155288572e+01, 1.0)
-_NORM_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-           -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_NORM_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-           3.754408661907416e+00, 1.0)
-_NORM_UPPER = 1.0 - 0.02425
-
 _T_QUANTILE_MAX_STEPS = 200
-
-
-def _horner(coefficients, x):
-    value = 0.0
-    for c in coefficients:
-        value = value * x + c
-    return value
-
-
-def _normal_quantile_upper(prob):
-    """Standard normal quantile for 0.5 < prob < 1 (Acklam's approximation)."""
-    if prob <= _NORM_UPPER:
-        q = prob - 0.5
-        r = q * q
-        return q * _horner(_NORM_A, r) / _horner(_NORM_B, r)
-    q = math.sqrt(-2.0 * math.log(1.0 - prob))
-    return -_horner(_NORM_C, q) / _horner(_NORM_D, q)
 
 
 def t_quantile(prob, df):
     """Student-t quantile by safeguarded Newton steps on :func:`t_two_tailed_p`.
 
-    For prob > 0.5 it solves log p(t) = log(2 * (1 - prob)) for t > 0. The
-    start is the normal quantile plus the first Cornish-Fisher term,
-    z + (z^3 + z) / (4 df) (Hill 1970, CACM Algorithm 396), and the slope
+    For prob >= 0.5 it solves log p(t) = log(2 * (1 - prob)) for t >= 0. The
+    start is the standard normal quantile z = ``NormalDist().inv_cdf(prob)``
+    plus the first Cornish-Fisher term, z + (z^3 + z) / (4 df) (Hill 1970,
+    CACM Algorithm 396); at prob = 0.5 it is 0, the exact root. The slope
     is the closed-form t density. A bracket around the root is kept, and a
     step that leaves it is replaced by bisection (by doubling t while the
     bracket has no upper end). Iteration stops when the
@@ -231,7 +205,8 @@ def t_quantile(prob, df):
     the p-value engine's own rounding begins. The result is therefore the
     root of the p-value engine: on df from 1 to 1e5 it is within 1e-10
     relative of the exact quantile, after 2 to 11 incomplete-beta
-    evaluations (about 4 on average).
+    evaluations (4.4 on average over 11 df from 1 to 1e5 and 11
+    probabilities from 1e-6 to 0.9999).
 
     The lower half is the exact mirror, t_quantile(prob, df) ==
     -t_quantile(1 - prob, df), so it inherits the rounding of 1 - prob.
@@ -240,8 +215,6 @@ def t_quantile(prob, df):
         raise ValidationError(f"degrees of freedom must be positive, got {df!r}")
     if not 0.0 < prob < 1.0:
         raise ValidationError(f"probability must lie strictly in (0, 1), got {prob!r}")
-    if prob == 0.5:
-        return 0.0
     if prob < 0.5:
         return -t_quantile(1.0 - prob, df)
     df = float(df)
@@ -249,7 +222,7 @@ def t_quantile(prob, df):
     # log of the t density's normaliser, Gamma((df+1)/2) / (sqrt(df pi) Gamma(df/2))
     log_norm = (math.lgamma((df + 1.0) / 2.0) - math.lgamma(df / 2.0)
                 - 0.5 * math.log(df * math.pi))
-    z = _normal_quantile_upper(prob)
+    z = statistics.NormalDist().inv_cdf(prob)
     q = z + (z * z * z + z) / (4.0 * df)
     lo, hi = 0.0, math.inf
     best_q, best_residual = q, math.inf

@@ -319,6 +319,20 @@ class TestSubcommands:
         assert capsys.readouterr().err == "error: need at least 1 indicator, got 0\n"
         assert not out.exists()
 
+    def test_a_ci_level_whose_quantile_rounds_to_1_exits_2(self, table_csv, tmp_path,
+                                                            capsys):
+        # At 1 - 2**-53, (1 + level) / 2 rounds to 1; the float below it runs.
+        out = tmp_path / "out"
+        argv = ["analyze", "--input", table_csv, "--out-dir", str(out), "--ci-level"]
+        assert main(argv + ["0.9999999999999999"]) == 2
+        assert capsys.readouterr().err == (
+            "error: comparison.ci_level must be a number in (0, 1) with "
+            "(1 + level) / 2 below 1, got 0.9999999999999999\n")
+        assert not out.exists()
+        assert main(argv + ["0.9999999999999998"]) == 0
+        parsed = json.loads((out / "comparison.json").read_text())
+        assert parsed["ci_level"] == 1.0 - 2.0 ** -52
+
     @pytest.mark.parametrize("command", ["compare", "factors", "rank", "analyze"])
     def test_one_indicator_table(self, tmp_path, capsys, command):
         ids, _, values = make_table()
@@ -624,8 +638,9 @@ class TestColumnOrder:
 
 class TestRescaling:
     """Mapping each indicator by x -> a*x + b with a > 0 leaves every
-    standardized result where it was (5 seeded draws). Descriptives are in
-    raw units and are not compared."""
+    standardized result where it was (5 seeded draws, and every indicator
+    scaled by 1e-12 and by 1e-13, below any absolute sd floor). Descriptives
+    are in raw units and are not compared."""
 
     MODEL_KEYS = ("eigenvalues", "loadings_unrotated", "loadings_rotated",
                   "score_coefficients")
@@ -634,32 +649,34 @@ class TestRescaling:
         _, names, values = make_table()
         base_model, base_ranking, base_comparison = analyze_table(tmp_path, names,
                                                                   values)
+        maps = [(1e-12, 0.0), (1e-13, 0.0)]
         for seed in range(5):
             rng = np.random.RandomState(seed)
-            a = rng.uniform(0.01, 100.0, values.shape[1])
-            b = rng.uniform(-1e3, 1e3, values.shape[1])
+            maps.append((rng.uniform(0.01, 100.0, values.shape[1]),
+                         rng.uniform(-1e3, 1e3, values.shape[1])))
+        for case, (a, b) in enumerate(maps):
             model, ranking, comparison = analyze_table(tmp_path, names, values * a + b)
             for key in self.MODEL_KEYS:
                 np.testing.assert_allclose(model[key], base_model[key], rtol=0,
-                                           atol=1e-12, err_msg=f"{seed} {key}")
+                                           atol=1e-12, err_msg=f"{case} {key}")
             np.testing.assert_allclose(model["kmo"]["per_variable"],
                                        base_model["kmo"]["per_variable"],
-                                       rtol=0, atol=1e-12, err_msg=str(seed))
+                                       rtol=0, atol=1e-12, err_msg=str(case))
             assert ([e["case_id"] for e in ranking["entries"]]
-                    == [e["case_id"] for e in base_ranking["entries"]]), seed
+                    == [e["case_id"] for e in base_ranking["entries"]]), case
             np.testing.assert_allclose([e["score"] for e in ranking["entries"]],
                                        [e["score"] for e in base_ranking["entries"]],
-                                       rtol=0, atol=1e-12, err_msg=str(seed))
+                                       rtol=0, atol=1e-12, err_msg=str(case))
             for key in ("group1_ids", "group2_ids"):
-                assert ranking[key] == base_ranking[key], seed
+                assert ranking[key] == base_ranking[key], case
             for record, base in zip(comparison["variables"], base_comparison["variables"]):
-                assert record["degenerate"] == base["degenerate"], (seed, base["name"])
+                assert record["degenerate"] == base["degenerate"], (case, base["name"])
                 if base["degenerate"]:
                     continue
                 moved = [record["levene"][f] - base["levene"][f] for f in ("F", "p")]
                 moved += [record[v][f] - base[v][f] for v in ("pooled", "welch")
                           for f in ("t", "df", "p_two_tailed")]
-                assert max(map(abs, moved)) <= 1e-10, (seed, base["name"])
+                assert max(map(abs, moved)) <= 1e-10, (case, base["name"])
 
 
 class TestAllOrNone:

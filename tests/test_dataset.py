@@ -307,7 +307,7 @@ class TestStandardize:
         assert np.array_equal(means, x.mean(axis=0))
         assert np.array_equal(sds, x.std(axis=0, ddof=1))
         assert np.array_equal(
-            constant, (x.std(axis=0, ddof=1) <= 1e-12) | (x.min(axis=0) == x.max(axis=0)))
+            constant, (x.std(axis=0, ddof=1) == 0.0) | (x.min(axis=0) == x.max(axis=0)))
         assert constant[0] == (flat is not None)
         if flat is None:
             z = standardize(dataset_from([f"c{i}" for i in range(n)], names, x))

@@ -140,10 +140,16 @@ class TestKmo:
 
 class TestVarimax:
     def test_single_factor_unchanged(self):
-        a = np.array([[0.9], [0.7], [0.5]])
-        result = varimax(a)
-        np.testing.assert_allclose(result.loadings, a)
-        np.testing.assert_allclose(result.rotation, [[1.0]])
+        # One column: the input with its canonical sign, bit for bit. Kaiser
+        # scaling divides each row by |a| and multiplies it back, which is
+        # exact; a zero row and one below 1e-12 keep scale 1.
+        for sign in (1.0, -1.0):
+            a = sign * np.array([[0.9], [-0.31], [0.0], [4e-13], [0.123456789]])
+            for kaiser in (True, False):
+                result = varimax(a, kaiser_normalize=kaiser)
+                assert result.loadings.tobytes() == (sign * a).tobytes(), (sign, kaiser)
+                assert result.rotation.tobytes() == np.array([[sign]]).tobytes()
+                assert result.converged is True
 
     def test_perfect_simple_structure_fixed_point(self):
         a = np.array([[0.8, 0.0], [0.79, 0.0], [0.0, 0.75], [0.0, 0.81]])

@@ -355,7 +355,10 @@ class TestCompareGroups:
         assert report.variables[1].degenerate
         assert report.variables[1].note == "constant within the standardization scope"
 
-    @pytest.mark.parametrize("spread, constant", [(1e-12, True), (4e-12, False)])
+    # The rule has no scale: only equal values, or squared deviations that
+    # underflow (a spread of 1e-200), make a column constant.
+    @pytest.mark.parametrize("spread, constant", [(0.0, True), (1e-12, False),
+                                                  (1e-100, False), (1e-200, True)])
     def test_degenerate_bound_is_the_zero_variance_rule(self, spread, constant):
         ids = [f"c{i}" for i in range(6)]
         ds = dataset_from(ids, ["x"], spread * np.array([[0.0], [1.0]] * 3))

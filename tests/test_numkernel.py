@@ -199,7 +199,10 @@ class TestStudentT:
 
 class TestTQuantile:
     def test_median_is_zero(self):
-        assert t_quantile(0.5, 7) == 0.0
+        # The general path: the start is +0.0 and its residual is exactly 0.
+        for df in (1, 7, 1e5):
+            q = t_quantile(0.5, df)
+            assert q == 0.0 and math.copysign(1.0, q) == 1.0, df
 
     def test_reference_value(self):
         # frozen from bisection on the verified CDF; agrees with scipy.t.ppf
