@@ -34,6 +34,7 @@ from dataclasses import dataclass, field, fields
 
 from .errors import ValidationError
 from .factors import DEFAULT_MAX_SWEEPS, DEFAULT_ROTATION_TOL
+from .inference import valid_ci_level
 
 FORMATS = ("json", "csv", "text")
 
@@ -91,9 +92,7 @@ def _real(low, high=math.inf):
                   f"a finite number in ({low:g}, {high:g})", type=float)
 
 
-# The interval's t quantile is taken at (1 + level) / 2, which rounds to 1
-# at the float just below 1.
-_level = _check(lambda v: _is_number(v) and 0.0 < v < 1.0 and (1.0 + v) / 2.0 < 1.0,
+_level = _check(lambda v: _is_number(v) and valid_ci_level(v),
                 "a number in (0, 1) with (1 + level) / 2 below 1", type=float)
 
 

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import ValidationError
 
 _MIN_CASES = 3
+_TINY = np.finfo(float).tiny  # the smallest normal float
 _CHUNK_CELLS = 4096  # cells per parse block; bounds the text held at once
 
 
@@ -268,9 +269,11 @@ def column_moments(values, names):
     """Column means, sample (n-1) sds and constant mask of ``values``, whose
     columns are ``names``. A column is constant when its values are all equal
     (their sd need not round to 0) or its sd is exactly 0 (their squared
-    deviations underflow). The rule is free of scale: any other column is
-    standardized, however small its spread. One whose mean or sd overflows is
-    rejected by name.
+    deviations underflow). Any other column is rejected by name when its mean
+    or sd overflows, or when its squared deviations sum to less than n times
+    the smallest normal float (an sd below about 1.5e-154): a subnormal
+    square is off by up to half its spacing, which from that bound up costs
+    the sum at most half an ulp.
 
     The sums are taken in row blocks of about ``_CHUNK_CELLS`` cells, each
     block's sum starting from the running total, which is numpy's own axis-0
@@ -284,11 +287,15 @@ def column_moments(values, names):
     buffer = np.empty((min(rows, n) + 1, p))  # running total, then a block
     with np.errstate(over="ignore", invalid="ignore"):
         means = _row_sum(values, rows, buffer) / n
-        sds = np.sqrt(_row_sum(values, rows, buffer, means) / (n - 1))
+        squares = _row_sum(values, rows, buffer, means)
+        sds = np.sqrt(squares / (n - 1))
     bad = np.flatnonzero(~(np.isfinite(means) & np.isfinite(sds)))
     if bad.size:
         raise ValidationError(f"{names[bad[0]]}: values too large to standardize")
     constant = (sds == 0.0) | (values.min(axis=0) == values.max(axis=0))
+    small = np.flatnonzero(~constant & (squares < n * _TINY))
+    if small.size:
+        raise ValidationError(f"{names[small[0]]}: values too small to standardize")
     return means, sds, constant
 
 

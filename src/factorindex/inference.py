@@ -106,6 +106,20 @@ def _check_probability(label, value):
         raise ValidationError(f"{label} must be in (0, 1), got {value!r}")
 
 
+def valid_ci_level(level):
+    """Whether ``level`` can be a confidence level: it lies in (0, 1), and the
+    interval's t quantile, taken at (1 + level) / 2, is below 1. That
+    probability rounds to 1 at the float just below 1."""
+    return 0.0 < level < 1.0 and (1.0 + level) / 2.0 < 1.0
+
+
+def _check_level(level):
+    _check_probability("confidence level", level)
+    if not valid_ci_level(level):
+        raise ValidationError(
+            f"confidence level must have (1 + level) / 2 below 1, got {level!r}")
+
+
 def levene_test(g1, g2, center="mean"):
     """Levene's equality-of-variances test for two groups.
 
@@ -163,7 +177,7 @@ def t_tests(g1, g2, level=0.95):
     Satterthwaite's degrees of freedom. When both groups are constant,
     both variants report ``n1 + n2 - 2`` degrees of freedom.
     """
-    _check_probability("confidence level", level)
+    _check_level(level)
     a = _as_sample(g1)
     b = _as_sample(g2)
     n1, n2 = a.size, b.size
@@ -204,7 +218,7 @@ def compare_groups(ds, group1_ids, group2_ids, variables=None, alpha=0.05,
         )
     _check_probability("alpha", alpha)
     _check_probability("alpha_levene", alpha_levene)
-    _check_probability("confidence level", ci_level)
+    _check_level(ci_level)
     _check_center(levene_center)
     group1_ids = tuple(group1_ids)
     group2_ids = tuple(group2_ids)

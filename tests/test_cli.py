@@ -432,6 +432,21 @@ class TestSubcommands:
         assert capsys.readouterr().err == "error: v0: values too large to standardize\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("scale", [1e-157, 1e-161])
+    @pytest.mark.parametrize("command", ["analyze", "compare"])
+    def test_a_column_too_small_to_standardize_exits_2(self, tmp_path, capsys,
+                                                       command, scale):
+        # Every column's squared deviations are subnormal, but not all zero.
+        ids, names, values = make_table()
+        path = write_table_csv(tmp_path / "tiny.csv", ids, names, values * scale)
+        out = tmp_path / "out"
+        argv = [command, "--input", path, "--out-dir", str(out)]
+        if command == "compare":
+            argv += ["--group1", ",".join(ids[:3]), "--group2", ",".join(ids[3:6])]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: Ind00: values too small to standardize\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_rotation_tol_flag_exits_2(self, table_csv, tmp_path,
                                                   capsys, value):

@@ -262,6 +262,31 @@ class TestStandardize:
                            match="^huge: values too large to standardize$"):
             standardize(ds)
 
+    @pytest.mark.parametrize("scale", [1e-157, 1e-161])  # squares subnormal
+    def test_a_column_too_small_is_named(self, scale):
+        values = np.random.RandomState(7).randn(40, 3)
+        values[:, 1] = scale  # equal values stay constant, however small
+        values[:, 2] *= scale
+        ds = dataset_from([f"c{i}" for i in range(40)], ["x", "flat", "tiny"], values)
+        assert values[:, 2].std(ddof=1) > 0.0
+        with pytest.raises(ValidationError,
+                           match="^tiny: values too small to standardize$"):
+            standardize(ds)
+
+    @pytest.mark.parametrize("n", [3, 40, 5000])
+    def test_the_small_bound_is_n_times_the_smallest_normal(self, n):
+        # Squared deviations summing to at least n * tiny keep their digits.
+        tiny = np.finfo(float).tiny
+        unit = np.random.RandomState(n).randn(n)
+        squares = float(np.sum((unit - unit.mean()) ** 2))
+        above = np.sqrt(n * tiny / squares) * 1.01
+        means, sds, constant = dataset.column_moments(
+            np.column_stack([unit, unit * above]), ["unit", "above"])
+        assert not constant.any()
+        assert sds[1] / above == pytest.approx(sds[0], rel=1e-14)
+        with pytest.raises(ValidationError, match="^below: values too small"):
+            dataset.column_moments((unit * above / 1.03)[:, None], ["below"])
+
     @pytest.mark.parametrize("what", ["mean", "sd"])
     def test_an_overflow_in_a_later_block_is_named(self, what):
         # "huge" is finite over the first row block and "big" is not; the

@@ -334,6 +334,8 @@ class TestCompareGroups:
 
     @pytest.mark.parametrize("option, value, message", [
         ("ci_level", 7.0, r"confidence level must be in \(0, 1\), got 7.0"),
+        ("ci_level", 1.0 - 2.0 ** -53,  # (1 + level) / 2 rounds to 1
+         r"confidence level must have \(1 \+ level\) / 2 below 1, got 0.9999999999999999"),
         ("levene_center", "bogus",
          "center must be 'mean' or 'median', got 'bogus'"),
     ])
@@ -355,7 +357,7 @@ class TestCompareGroups:
         assert report.variables[1].degenerate
         assert report.variables[1].note == "constant within the standardization scope"
 
-    # The rule has no scale: only equal values, or squared deviations that
+    # No absolute floor: only equal values, or squared deviations that all
     # underflow (a spread of 1e-200), make a column constant.
     @pytest.mark.parametrize("spread, constant", [(0.0, True), (1e-12, False),
                                                   (1e-100, False), (1e-200, True)])
