@@ -8,18 +8,25 @@ once built; operations return new objects.
 
 import csv
 import difflib
+import io
+import marshal
 import math
+import os
+import stat
+import sys
 from array import array
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 
+from . import _rows
 from .errors import ValidationError
 
 _MIN_CASES = 3
 _TINY = np.finfo(float).tiny  # the smallest normal float
 _CHUNK_CELLS = 4096  # cells per parse block; bounds the text held at once
+_SPLIT_BYTES = 3_000_000  # smallest file parsed on two cores: the break-even
+_READ_BYTES = 1 << 16  # bytes read at once when scanning or taking the tail
 
 
 @dataclass(frozen=True)
@@ -107,51 +114,87 @@ def load_csv(path, id_column=None, missing_policy="error"):
     errors, reported with the data row number (1-based, header excluded).
 
     Rows are read in blocks of about ``_CHUNK_CELLS`` cells. A block whose
-    rows all have the header's width and a non-blank id is parsed column by
-    column (:func:`_parse_block`); any other block, or one holding a cell that
-    the column parse cannot take, goes row by row through :func:`_parse_row`,
-    which owns every error message. Both call ``float()`` on the same text, so
-    the values, ids, dropped ids and errors do not depend on the block size.
+    non-blank rows all have the header's width and a non-blank id is parsed
+    in one pass (:func:`_rows.parse_block`); any other block, or one holding
+    a cell that this parse cannot take, goes row by row through
+    :func:`_parse_row`, which owns every error message. Both call ``float()``
+    on the same text, so the values, ids, dropped ids and errors do not
+    depend on the block size.
+
+    A regular file of at least ``_SPLIT_BYTES`` bytes, with no ``"`` before
+    the first newline after its middle, is parsed on two cores when more
+    than one CPU is available: one short-lived child of ``sys.executable``
+    (``-I -S``, standard library only) parses the bytes after that newline
+    with the same block parse while this process parses the bytes before
+    it. If either half holds a block the block parse refuses, or the child
+    fails in any way, both halves are dropped and the file is parsed here
+    from its first byte, as above; no child outlives the call.
     """
     if missing_policy not in ("error", "listwise"):
         raise ValidationError(
             f"missing_policy must be 'error' or 'listwise', got {missing_policy!r}"
         )
+    loaded = _load_split(path, id_column, missing_policy)
+    if loaded is None:
+        loaded = _load_serial(path, id_column, missing_policy)
+    indicator_names, case_ids, parsed, dropped = loaded
+    if len(case_ids) < _MIN_CASES:
+        raise ValidationError(
+            f"{path}: fewer than {_MIN_CASES} complete rows after loading "
+            f"({len(case_ids)} remain)"
+        )
+    values = np.frombuffer(parsed, dtype=float).reshape(len(case_ids),
+                                                        len(indicator_names))
+    return IndicatorDataset(tuple(case_ids), tuple(indicator_names), values,
+                            tuple(dropped))
+
+
+def _header(reader, path, id_column):
+    """``(width, id index, indicator names)`` from the header row of ``reader``."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValidationError(f"{path}: file is empty") from None
+    header = [h.strip() for h in header]
+    if id_column is None:
+        id_index = 0
+    else:
+        if id_column not in header:
+            raise ValidationError(
+                f"id column {id_column!r} not found; header has {header}"
+            )
+        id_index = header.index(id_column)
+    indicator_names = [h for i, h in enumerate(header) if i != id_index]
+    return len(header), id_index, indicator_names
+
+
+def _block_rows(width):
+    return max(1, _CHUNK_CELLS // max(width, 1))
+
+
+def _load_serial(path, id_column, missing_policy):
+    """``(indicator names, case ids, values, dropped ids)`` of the file, read
+    in one pass in this process; the values are an ``array('d')``, row after
+    row."""
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise ValidationError(f"{path}: file is empty") from None
-
-            header = [h.strip() for h in header]
-            if id_column is None:
-                id_index = 0
-            else:
-                if id_column not in header:
-                    raise ValidationError(
-                        f"id column {id_column!r} not found; header has {header}"
-                    )
-                id_index = header.index(id_column)
-            indicator_names = [h for i, h in enumerate(header) if i != id_index]
-
-            width = len(header)
+            width, id_index, indicator_names = _header(reader, path, id_column)
             case_ids = []
             parsed = array("d")  # kept rows' values, row after row
             dropped = []  # ids of incomplete rows skipped under listwise
             row_number = 0  # data rows so far; blank lines are not counted
-            for block in _blocks(reader, max(1, _CHUNK_CELLS // max(width, 1))):
-                whole = _parse_block(block, width, id_index, missing_policy)
+            for block in _rows.blocks(reader, _block_rows(width)):
+                whole = _rows.parse_block(block, width, id_index, missing_policy)
                 if whole is not None:
                     ids, values, incomplete = whole
-                    row_number += len(block)
+                    row_number += len(ids) + len(incomplete)
                     case_ids += ids
-                    parsed.frombytes(values)
+                    parsed += values
                     dropped += incomplete
                     continue
                 for row in block:
-                    if not row or not any(cell.strip() for cell in row):
+                    if _rows.is_blank(row):
                         continue
                     row_number += 1
                     case_id, data = _parse_row(row, row_number, width, id_index,
@@ -165,68 +208,121 @@ def load_csv(path, id_column=None, missing_policy="error"):
         raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except csv.Error as exc:
         raise ValidationError(f"{path}: line {reader.line_num}: {exc}") from None
-
-    if len(case_ids) < _MIN_CASES:
-        raise ValidationError(
-            f"{path}: fewer than {_MIN_CASES} complete rows after loading "
-            f"({len(case_ids)} remain)"
-        )
-    values = np.frombuffer(parsed, dtype=float).reshape(len(case_ids),
-                                                        len(indicator_names))
-    return IndicatorDataset(tuple(case_ids), tuple(indicator_names), values,
-                            tuple(dropped))
+    return indicator_names, case_ids, parsed, dropped
 
 
-def _blocks(reader, size):
-    """Lists of up to ``size`` rows from ``reader``.
+def _cpus():
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    The rows read before a decode or CSV error are yielded before the error
-    propagates, so that an error in one of them is still reported first.
-    """
-    block = []
+
+def _load_split(path, id_column, missing_policy):
+    """What :func:`_load_serial` returns, parsed in two halves on two cores,
+    or None when the file is not split or a half cannot be block-parsed."""
+    if _cpus() < 2 or not sys.executable or getattr(sys, "frozen", False):
+        return None
     try:
-        for row in reader:
-            block.append(row)
-            if len(block) == size:
-                yield block
-                block = []
-    except (csv.Error, UnicodeDecodeError):
-        if block:
-            yield block
-        raise
-    if block:
-        yield block
-
-
-def _parse_block(block, width, id_index, missing_policy):
-    """``(ids, row-major value bytes, dropped ids)`` of the kept rows, or None.
-
-    None means :func:`_parse_row` must take the block: a row of another
-    width (a blank line, too), a blank id, a cell ``float()`` rejects other
-    than an empty one, or a non-finite cell under ``missing_policy="error"``.
-    """
-    if not width or set(map(len, block)) != {width}:
+        real = os.path.realpath(path)  # so that the worker opens the same file
+        st = os.stat(real)
+    except (OSError, TypeError, ValueError):
+        return None  # the serial open reports it
+    # A FIFO is never opened here: a second open would miss its bytes.
+    if not stat.S_ISREG(st.st_mode) or st.st_size < _SPLIT_BYTES:
         return None
-    columns = list(zip(*block))
-    ids = list(map(str.strip, columns.pop(id_index)))
-    if "" in ids:
-        return None
-    values = array("d")  # column after column
-    for column in columns:
-        if "" in column:  # a missing cell; _parse_row reads it as nan too
-            column = ["nan" if cell == "" else cell for cell in column]
+    try:
+        with open(real, "rb", buffering=0) as raw:
+            split = _split_offset(raw, st.st_size)
+            if split is None:
+                return None
+            raw.seek(0)
+            with io.TextIOWrapper(io.BufferedReader(_Head(raw, split)),
+                                  encoding="utf-8-sig", newline="") as head:
+                tail = [real, *map(str, (split, st.st_dev, st.st_ino, st.st_size,
+                                         st.st_mtime_ns))]
+                return _parse_halves(csv.reader(head), tail, path, id_column,
+                                     missing_policy)
+    except (ValidationError, UnicodeDecodeError, csv.Error, OSError):
+        return None  # the serial parse reports what went wrong
+
+
+def _parse_halves(reader, tail, path, id_column, missing_policy):
+    """Parse the head's rows from ``reader`` while a worker parses the tail
+    that the worker arguments ``tail`` name; None if either half refuses."""
+    width, id_index, indicator_names = _header(reader, path, id_column)
+    rows = _block_rows(width)
+    command = [sys.executable, "-I", "-S", _rows.__file__, *tail,
+               *map(str, (width, id_index)), missing_policy,
+               *map(str, (rows, csv.field_size_limit()))]
+    import subprocess  # here, so that importing the package does not pay for it
+
+    with subprocess.Popen(command, bufsize=_READ_BYTES, stdin=subprocess.DEVNULL,
+                          stdout=subprocess.PIPE, stderr=subprocess.DEVNULL) as worker:
         try:
-            values.extend(map(float, column))
-        except ValueError:
+            parsed = _rows.parse_rows(reader, rows, width, id_index, missing_policy)
+            if (parsed is not None and _append_tail(worker.stdout, *parsed)
+                    and worker.wait() == 0):
+                return (indicator_names, *parsed)
+        finally:
+            worker.kill()
+            worker.wait()
+    return None
+
+
+def _split_offset(raw, size):
+    """The offset just past the first newline at or after the middle of the
+    ``size``-byte binary file ``raw``, read from its start; None when no byte
+    follows that newline, or when a ``"`` comes before it, since a quoted
+    field could then hold the newline."""
+    middle = size // 2
+    buffer = bytearray(_READ_BYTES)
+    start = 0
+    while n := raw.readinto(buffer):
+        newline = buffer.find(b"\n", max(middle - start, 0), n)
+        end = n if newline < 0 else newline + 1
+        if buffer.find(b'"', 0, end) >= 0:
             return None
-    rows = np.frombuffer(values, dtype=float).reshape(len(columns), len(block)).T
-    complete = np.isfinite(rows).all(axis=1)
-    if complete.all():
-        return ids, rows.tobytes(), []
-    if missing_policy == "error":
-        return None
-    return (list(compress(ids, complete)), rows[complete].tobytes(),
-            list(compress(ids, ~complete)))
+        if newline >= 0:
+            return start + end if start + end < size else None
+        start += n
+    return None
+
+
+class _Head(io.RawIOBase):
+    """The first ``size`` bytes of the unbuffered binary file ``raw``, read
+    from its current position."""
+
+    def __init__(self, raw, size):
+        self._raw = raw
+        self._left = size
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        n = self._raw.readinto(memoryview(buffer)[:self._left])
+        self._left -= n
+        return n
+
+
+def _append_tail(stream, case_ids, parsed, dropped):
+    """Append the tail worker's ids, values and dropped ids from ``stream``;
+    False if its output is cut short or malformed."""
+    try:
+        ids, incomplete, count = marshal.load(stream)
+    except (EOFError, ValueError, TypeError):
+        return False
+    left = count * parsed.itemsize
+    while left:
+        chunk = stream.read(min(left, _READ_BYTES))
+        if len(chunk) != min(left, _READ_BYTES):
+            return False
+        parsed.frombytes(chunk)
+        left -= len(chunk)
+    case_ids += ids
+    dropped += incomplete
+    return True
 
 
 def _parse_row(row, row_number, width, id_index, indicator_names, missing_policy):

@@ -1,8 +1,10 @@
 import csv
+import subprocess
 
 import numpy as np
 import pytest
 
+from factorindex import dataset
 from factorindex.dataset import IndicatorDataset
 
 
@@ -41,6 +43,27 @@ def write_table_csv(path, ids, names, values):
         for cid, row in zip(ids, values):
             writer.writerow([cid] + [repr(float(v)) for v in row])
     return str(path)
+
+
+def record_workers(monkeypatch):
+    """The list that each process ``subprocess.Popen`` starts is appended to."""
+    started = []
+    popen = subprocess.Popen
+
+    def recording(command, **kwargs):
+        started.append(popen(command, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(subprocess, "Popen", recording)
+    return started
+
+
+def force_split(monkeypatch):
+    """Make ``load_csv`` split every regular file it can, as on two CPUs;
+    return the list of the worker processes it starts."""
+    monkeypatch.setattr(dataset, "_SPLIT_BYTES", 0)
+    monkeypatch.setattr(dataset, "_cpus", lambda: 2)
+    return record_workers(monkeypatch)
 
 
 @pytest.fixture(scope="session")

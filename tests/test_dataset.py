@@ -1,14 +1,24 @@
+import csv
+import gc
+import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
+import types
+import warnings
 
 import numpy as np
 import pytest
 
-from factorindex import dataset
+from factorindex import _rows, cli, dataset
 from factorindex.dataset import (IndicatorDataset, load_csv, select_variables,
                                  standardize)
 from factorindex.errors import ValidationError
 
-from conftest import dataset_from, make_table, write_table_csv
+from conftest import (dataset_from, force_split, make_table, record_workers,
+                      write_table_csv)
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -111,22 +121,31 @@ class TestLoadCsv:
 
 
     def test_peak_memory_per_cell(self, tmp_path):
-        # The values are kept in one flat float64 buffer, not as one Python
-        # float per cell, and a parse block holds a bounded number of cells
-        # whatever the table's width.
-        for n, p, bound in ((5000, 12, 40), (2000, 120, 20)):
-            path = write_table_csv(tmp_path / f"table_{n}x{p}.csv",
-                                   [f"tract_{i:05d}" for i in range(n)],
-                                   [f"v{j}" for j in range(p)],
-                                   np.random.RandomState(5).randn(n, p))
-            tracemalloc.start()
-            try:
-                ds = load_csv(path)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert ds.values.shape == (n, p)
-            assert peak < bound * n * p, (n, p, peak / (n * p))
+        check_peak_memory_per_cell(tmp_path)
+
+    def test_peak_memory_per_cell_with_the_split_forced(self, tmp_path, monkeypatch):
+        started = force_split(monkeypatch)
+        check_peak_memory_per_cell(tmp_path)
+        assert len(started) == 2
+
+
+def check_peak_memory_per_cell(tmp_path):
+    # The values are kept in one flat float64 buffer, not as one Python
+    # float per cell, and a parse block holds a bounded number of cells
+    # whatever the table's width.
+    for n, p, bound in ((5000, 12, 40), (2000, 120, 20)):
+        path = write_table_csv(tmp_path / f"table_{n}x{p}.csv",
+                               [f"tract_{i:05d}" for i in range(n)],
+                               [f"v{j}" for j in range(p)],
+                               np.random.RandomState(5).randn(n, p))
+        tracemalloc.start()
+        try:
+            ds = load_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ds.values.shape == (n, p)
+        assert peak < bound * n * p, (n, p, peak / (n * p))
 
 
 def outcome(path, policy):
@@ -164,16 +183,45 @@ BLOCK_BODIES = {
 for cell in ("abc", " ", "nan", "inf", "1e999", "\x1c5\x1c", "", "-0.0", "1_0"):
     BLOCK_BODIES[f"cell {cell!r}"] = f"A,1,2\nB,3,4\nC,5,{cell}\n" + GOOD_ROWS
 
+# U+FEFF in UTF-8, as Latin-1 text. A body that starts with it is written
+# after a byte-order mark that comes before the header.
+BOM = "\xef\xbb\xbf"
+LATER_ROWS = GOOD_ROWS.replace("G", "H")
+# Bodies whose row of interest falls after the first newline past the
+# middle of the file, where load_csv splits a file in two.
+BLOCK_BODIES.update({
+    "a byte-order mark": BOM + GOOD_ROWS + LATER_ROWS,
+    "ids that start with U+FEFF": GOOD_ROWS + LATER_ROWS.replace("H", BOM + "H"),
+    "CRLF line endings": (GOOD_ROWS + LATER_ROWS).replace("\n", "\r\n"),
+    "a quoted newline early": '"Q\nR",1,2\n' + GOOD_ROWS + LATER_ROWS,
+    "a quoted newline late": GOOD_ROWS + LATER_ROWS + '"Q\nR",1,2\n',
+    "trailing blank lines": GOOD_ROWS + LATER_ROWS + "\n , ,\r\n",
+    "an id repeated late": GOOD_ROWS + LATER_ROWS + "G0,1,2\n",
+    "a blank cell late": GOOD_ROWS + LATER_ROWS + "D,1,\n",
+    "a bad cell late": GOOD_ROWS + LATER_ROWS + "D,1,x\n",
+})
+
 
 def write_body(tmp_path, name):
     path = tmp_path / "data.csv"
+    body = BLOCK_BODIES[name]
+    bom = BOM if body.startswith(BOM) else ""
     # Latin-1 keeps the ASCII text and makes "\xff" the one byte UTF-8 rejects.
-    path.write_bytes(("id,a,b\n" + BLOCK_BODIES[name]).encode("latin-1"))
+    path.write_bytes((bom + "id,a,b\n" + body[len(bom):]).encode("latin-1"))
     return path
 
 
+def splits(path):
+    """Whether load_csv may split ``path`` once it is large enough: a byte
+    follows the first newline at or after the middle, and no quote precedes
+    it."""
+    data = path.read_bytes()
+    end = data.find(b"\n", len(data) // 2) + 1
+    return 0 < end < len(data) and b'"' not in data[:end]
+
+
 class TestBlockParse:
-    """The column-wise block parse gives what the per-row rule alone gives."""
+    """The one-pass block parse gives what the per-row rule alone gives."""
 
     @pytest.mark.parametrize("cells", [1, 7, dataset._CHUNK_CELLS])
     @pytest.mark.parametrize("policy", ["error", "listwise"])
@@ -182,8 +230,25 @@ class TestBlockParse:
         path = write_body(tmp_path, name)
         monkeypatch.setattr(dataset, "_CHUNK_CELLS", cells)
         blocks = outcome(path, policy)
-        monkeypatch.setattr(dataset, "_parse_block", lambda *args: None)
+        monkeypatch.setattr(_rows, "parse_block", lambda *args: None)
         assert blocks == outcome(path, policy)
+
+    @pytest.mark.parametrize("policy", ["error", "listwise"])
+    @pytest.mark.parametrize("name", sorted(BLOCK_BODIES))
+    def test_the_split_matches_the_serial_parse(self, tmp_path, monkeypatch, name,
+                                                policy):
+        path = write_body(tmp_path, name)
+        serial = outcome(path, policy)
+        started = force_split(monkeypatch)
+        assert outcome(path, policy) == serial
+        assert len(started) == splits(path)
+
+    def test_the_bodies_reach_the_split(self, tmp_path):
+        late = [name for name in BLOCK_BODIES if "late" in name or "U+FEFF" in name]
+        for name in late + ["a byte-order mark", "CRLF line endings",
+                            "trailing blank lines", "non-UTF-8 byte"]:
+            assert splits(write_body(tmp_path, name)), name
+        assert not splits(write_body(tmp_path, "a quoted newline early"))
 
     @pytest.mark.parametrize("cells", [1, 7, dataset._CHUNK_CELLS])
     @pytest.mark.parametrize("name, message", [
@@ -197,6 +262,175 @@ class TestBlockParse:
         path = write_body(tmp_path, name)
         monkeypatch.setattr(dataset, "_CHUNK_CELLS", cells)
         assert message in outcome(path, "listwise")
+
+
+def no_workers(monkeypatch):
+    def refuse(command, **kwargs):
+        raise AssertionError(f"a worker was started: {command}")
+
+    monkeypatch.setattr(subprocess, "Popen", refuse)
+
+
+def fake_worker(tmp_path, monkeypatch, source):
+    """Run the Python ``source`` in place of the tail worker."""
+    script = tmp_path / "worker.py"
+    script.write_text(source, encoding="utf-8")
+    monkeypatch.setattr(_rows, "__file__", str(script))
+
+
+class TestSplit:
+    """When load_csv starts a worker, and that it never outlives the call."""
+
+    @pytest.mark.parametrize("case", ["one CPU", "no executable", "a quote early",
+                                      "a small file"])
+    def test_no_worker(self, tmp_path, monkeypatch, case):
+        name = "a quoted newline early" if case == "a quote early" else "a blank cell late"
+        path = write_body(tmp_path, name)
+        serial = outcome(path, "listwise")
+        force_split(monkeypatch)
+        no_workers(monkeypatch)
+        if case == "one CPU":
+            monkeypatch.setattr(dataset, "_cpus", lambda: 1)
+        elif case == "no executable":
+            monkeypatch.setattr(sys, "executable", "")
+        elif case == "a small file":
+            monkeypatch.setattr(dataset, "_SPLIT_BYTES", path.stat().st_size + 1)
+        assert outcome(path, "listwise") == serial
+
+    def test_no_worker_for_a_fifo(self, tmp_path, monkeypatch):
+        path = write_body(tmp_path, "a blank cell late")
+        serial = outcome(path, "listwise")
+        fifo = tmp_path / "fifo.csv"
+        os.mkfifo(fifo)
+        force_split(monkeypatch)
+        no_workers(monkeypatch)
+        writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),),
+                                  daemon=True)
+        writer.start()
+        try:
+            assert outcome(fifo, "listwise") == serial
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+
+    def test_the_real_cpu_count_decides(self, tmp_path, monkeypatch):
+        # Under `taskset -c 0` this takes the one-CPU branch without a patch.
+        path = write_body(tmp_path, "a blank cell late")
+        serial = outcome(path, "listwise")
+        monkeypatch.setattr(dataset, "_SPLIT_BYTES", 0)
+        started = record_workers(monkeypatch)
+        if hasattr(os, "sched_getaffinity"):
+            cpus = len(os.sched_getaffinity(0))
+        else:
+            cpus = os.cpu_count()
+        assert outcome(path, "listwise") == serial
+        assert len(started) == (cpus > 1)
+
+    @pytest.mark.parametrize("worker", [
+        "raise SystemExit(1)",
+        "raise RuntimeError('worker crashed')",
+        "",  # exit 0, no output
+        "import marshal, sys\n"  # cut short
+        "sys.stdout.buffer.write(marshal.dumps((['Z'], [], 2)) + bytes(8))",
+        "import marshal, sys\n"  # whole, but a failure
+        "sys.stdout.buffer.write(marshal.dumps((['Z'], [], 2)) + bytes(16))\n"
+        "sys.stdout.flush()\n"
+        "raise SystemExit(1)",
+        "import time\ntime.sleep(60)",  # still running when the head is refused
+    ])
+    def test_a_failed_worker_leaves_nothing(self, tmp_path, monkeypatch, worker):
+        name = "a blank cell late" if "sleep" not in worker else "cell 'abc'"
+        path = write_body(tmp_path, name)
+        serial = outcome(path, "listwise")
+        started = force_split(monkeypatch)
+        fake_worker(tmp_path, monkeypatch, worker)
+        start = time.monotonic()
+        self.check_nothing_left(lambda: outcome(path, "listwise"), serial)
+        assert time.monotonic() - start < 30  # the sleeper was killed, not awaited
+        assert len(started) == 1
+
+    def test_the_field_limit_reaches_the_worker(self, tmp_path, monkeypatch):
+        path = tmp_path / "data.csv"
+        path.write_text("id,a,b\n" + PADDING + "Q,1," + "9" * 200 + "\n" + GOOD_ROWS,
+                        encoding="ascii")
+        limit = csv.field_size_limit(100)
+        try:
+            serial = outcome(path, "listwise")
+            started = force_split(monkeypatch)
+            split = outcome(path, "listwise")
+        finally:
+            csv.field_size_limit(limit)
+        assert split == serial and "field larger than field limit" in serial
+        assert len(started) == 1
+
+    def test_a_changed_file_is_refused(self, tmp_path, monkeypatch):
+        path = write_body(tmp_path, "a blank cell late")
+        serial = outcome(path, "listwise")
+        started = force_split(monkeypatch)
+        real_stat = os.stat
+
+        def stat(name, *args, **kwargs):
+            st = real_stat(name, *args, **kwargs)
+            if os.fspath(name) != os.path.realpath(path):
+                return st
+            # The file as it was a nanosecond before the worker opened it.
+            return types.SimpleNamespace(st_mode=st.st_mode, st_size=st.st_size,
+                                         st_dev=st.st_dev, st_ino=st.st_ino,
+                                         st_mtime_ns=st.st_mtime_ns - 1)
+
+        monkeypatch.setattr(dataset.os, "stat", stat)
+        assert outcome(path, "listwise") == serial
+        assert [worker.returncode for worker in started] == [2]
+
+    def test_a_refused_tail_leaves_nothing(self, tmp_path, monkeypatch):
+        path = write_body(tmp_path, "a bad cell late")
+        serial = outcome(path, "error")
+        started = force_split(monkeypatch)
+        self.check_nothing_left(lambda: outcome(path, "error"), serial)
+        assert len(started) == 1 and "non-numeric value 'x' at row 13" in serial
+
+    def test_an_interrupt_leaves_nothing(self, tmp_path, monkeypatch):
+        path = write_body(tmp_path, "a blank cell late")
+        started = force_split(monkeypatch)
+        fake_worker(tmp_path, monkeypatch, "import time\ntime.sleep(60)")
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(_rows, "parse_rows", interrupted)
+
+        def load():
+            with pytest.raises(KeyboardInterrupt):
+                load_csv(path, missing_policy="listwise")
+            return "interrupted"
+
+        self.check_nothing_left(load, "interrupted")
+        assert len(started) == 1
+
+    @staticmethod
+    def check_nothing_left(call, expected):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert call() == expected
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+        with pytest.raises(ChildProcessError):  # no child, running or unreaped
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_worker_traceback_stays_off_stderr(self, tmp_path, monkeypatch, capfd):
+        ids, names, values = make_table()
+        path = write_table_csv(tmp_path / "table.csv", ids, names, values)
+        argv = ["analyze", "--input", path, "--out-dir", str(tmp_path / "out"),
+                "--k", "2"]
+        assert cli.main(argv) == 0
+        serial = capfd.readouterr()
+        started = force_split(monkeypatch)
+        fake_worker(tmp_path, monkeypatch, "raise RuntimeError('worker crashed')")
+        assert cli.main(argv) == 0
+        split = capfd.readouterr()
+        assert len(started) == 1
+        assert split.err == serial.err == ""
+        assert split.out == serial.out
 
 
 class TestDatasetInvariants:

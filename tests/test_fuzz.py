@@ -23,8 +23,11 @@ import io
 import math
 import os
 import random
+import shutil
 
 from factorindex.cli import main
+
+from conftest import force_split
 
 SEED = 2016
 N_CASES = 400
@@ -289,3 +292,34 @@ def test_exit_code_contract_under_fuzzing(tmp_path, capsys):
     assert min(exits.values()) >= 20, exits
     assert stopped_at_block >= 10, stopped_at_block
     assert noticed >= 3, noticed
+
+
+# Every SPLIT_EVERY-th case is replayed with every input split in two.
+SPLIT_EVERY = 10
+
+
+def test_a_split_parse_changes_no_outcome(tmp_path, capsys, monkeypatch):
+    """Exit code, stdout, stderr and artifact bytes of a run that parses its
+    input on two cores are those of the run that parses it in one pass."""
+    rng = random.Random(SEED)
+    cases = []
+    for index in range(N_CASES):
+        argv, _ = fuzz_case(rng, str(tmp_path), index)
+        if index % SPLIT_EVERY == 0:
+            cases.append(argv)
+    outcomes = []
+    for split in (False, True):
+        if split:
+            started = force_split(monkeypatch)
+        runs = []
+        for argv in cases:
+            out = argv[argv.index("--out-dir") + 1]
+            shutil.rmtree(out, ignore_errors=True)
+            rc = main(argv)
+            captured = capsys.readouterr()
+            runs.append((rc, captured.out, captured.err,
+                         _snapshot(out) if os.path.isdir(out) else None))
+        outcomes.append(runs)
+    for argv, serial, split in zip(cases, *outcomes):
+        assert split == serial, argv
+    assert len(started) >= len(cases) // 2, len(started)
