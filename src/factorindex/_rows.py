@@ -83,14 +83,14 @@ def _parse_rows(rows, width, id_index, missing_policy):
     # overflow it, which all(map(isfinite, ...)) then clears.
     if isfinite(sum(floats)):
         return ids, array("d", floats), []
-    rows = list(zip(*[iter(floats)] * (width - 1)))
-    complete = [isfinite(sum(row)) or all(map(isfinite, row)) for row in rows]
+    values = list(zip(*[iter(floats)] * (width - 1)))  # one tuple a row
+    complete = [isfinite(sum(row)) or all(map(isfinite, row)) for row in values]
     if all(complete):
         return ids, array("d", floats), []
     if missing_policy == "error":
         return None
     return (list(compress(ids, complete)),
-            array("d", chain.from_iterable(compress(rows, complete))),
+            array("d", chain.from_iterable(compress(values, complete))),
             list(compress(ids, map(not_, complete))))
 
 
@@ -125,7 +125,8 @@ def main(argv):
     _csv.field_size_limit(int(limit))
     with open(path, "rb") as raw:
         st = os.fstat(raw.fileno())
-        if [st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns] != list(map(int, identity)):
+        if list(map(int, identity)) != [st.st_dev, st.st_ino, st.st_size,
+                                        st.st_mtime_ns]:
             return 2
         raw.seek(int(offset))
         with io.TextIOWrapper(raw, encoding="utf-8", newline="") as text:

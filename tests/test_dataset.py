@@ -284,7 +284,9 @@ class TestSplit:
     @pytest.mark.parametrize("case", ["one CPU", "no executable", "a quote early",
                                       "a small file"])
     def test_no_worker(self, tmp_path, monkeypatch, case):
-        name = "a quoted newline early" if case == "a quote early" else "a blank cell late"
+        name = "a blank cell late"
+        if case == "a quote early":
+            name = "a quoted newline early"
         path = write_body(tmp_path, name)
         serial = outcome(path, "listwise")
         force_split(monkeypatch)
@@ -296,6 +298,22 @@ class TestSplit:
         elif case == "a small file":
             monkeypatch.setattr(dataset, "_SPLIT_BYTES", path.stat().st_size + 1)
         assert outcome(path, "listwise") == serial
+
+    @pytest.mark.parametrize("name", [
+        "a byte-order mark", "ids that start with U+FEFF", "CRLF line endings",
+        "trailing blank lines", "a blank cell late", "an id repeated late",
+    ])
+    def test_both_halves_take_these(self, tmp_path, monkeypatch, name):
+        path = write_body(tmp_path, name)
+        serial = outcome(path, "listwise")
+        started = force_split(monkeypatch)
+
+        def refuse(*args):
+            raise AssertionError("the split fell back to one process")
+
+        monkeypatch.setattr(dataset, "_load_serial", refuse)
+        assert outcome(path, "listwise") == serial
+        assert [worker.returncode for worker in started] == [0]
 
     def test_no_worker_for_a_fifo(self, tmp_path, monkeypatch):
         path = write_body(tmp_path, "a blank cell late")

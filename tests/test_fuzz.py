@@ -307,19 +307,17 @@ def test_a_split_parse_changes_no_outcome(tmp_path, capsys, monkeypatch):
         argv, _ = fuzz_case(rng, str(tmp_path), index)
         if index % SPLIT_EVERY == 0:
             cases.append(argv)
-    outcomes = []
-    for split in (False, True):
-        if split:
-            started = force_split(monkeypatch)
-        runs = []
-        for argv in cases:
-            out = argv[argv.index("--out-dir") + 1]
-            shutil.rmtree(out, ignore_errors=True)
-            rc = main(argv)
-            captured = capsys.readouterr()
-            runs.append((rc, captured.out, captured.err,
-                         _snapshot(out) if os.path.isdir(out) else None))
-        outcomes.append(runs)
-    for argv, serial, split in zip(cases, *outcomes):
-        assert split == serial, argv
+
+    def run(argv):
+        out = argv[argv.index("--out-dir") + 1]
+        shutil.rmtree(out, ignore_errors=True)
+        rc = main(argv)
+        captured = capsys.readouterr()
+        return (rc, captured.out, captured.err,
+                _snapshot(out) if os.path.isdir(out) else None)
+
+    serial = [run(argv) for argv in cases]
+    started = force_split(monkeypatch)
+    for argv, expected in zip(cases, serial):
+        assert run(argv) == expected, argv
     assert len(started) >= len(cases) // 2, len(started)
