@@ -67,7 +67,11 @@ def main(argv=None):
         print(f"numerical failure in {stage} stage: {exc}", file=sys.stderr)
         return 3
     for path in result.files:
-        print(path)
+        try:
+            print(path)
+        except UnicodeEncodeError:  # written as Python's own stderr would
+            encoding = sys.stdout.encoding
+            print(path.encode(encoding, "backslashreplace").decode(encoding))
     return 0
 
 

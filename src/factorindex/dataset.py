@@ -10,11 +10,9 @@ import csv
 import difflib
 import io
 import marshal
-import math
 import os
 import stat
 import sys
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,22 +111,20 @@ def load_csv(path, id_column=None, missing_policy="error"):
     Non-numeric text in a numeric column and a blank case id are always
     errors, reported with the data row number (1-based, header excluded).
 
-    Rows are read in blocks of about ``_CHUNK_CELLS`` cells. A block whose
-    non-blank rows all have the header's width and a non-blank id is parsed
-    in one pass (:func:`_rows.parse_block`); any other block, or one holding
-    a cell that this parse cannot take, goes row by row through
-    :func:`_parse_row`, which owns every error message. Both call ``float()``
-    on the same text, so the values, ids, dropped ids and errors do not
-    depend on the block size.
+    Blank rows are skipped, before the header too. The data rows are read
+    by :func:`_rows.parse_rows` in blocks of about ``_CHUNK_CELLS`` cells,
+    each converted in one pass where it can be and row by row where it
+    cannot, with one ``float()`` rule; the values, ids, dropped ids and
+    errors do not depend on the block size.
 
     A regular file of at least ``_SPLIT_BYTES`` bytes, with no ``"`` before
     the first newline after its middle, is parsed on two cores when more
     than one CPU is available: one short-lived child of ``sys.executable``
-    (``-I -S``, standard library only) parses the bytes after that newline
-    with the same block parse while this process parses the bytes before
-    it. If either half holds a block the block parse refuses, or the child
-    fails in any way, both halves are dropped and the file is parsed here
-    from its first byte, as above; no child outlives the call.
+    (``-I -S``, standard library only) runs ``_rows.parse_rows`` on the
+    bytes after that newline while this process runs it on the bytes before
+    it. If either half holds an error, or the child fails in any way, both
+    halves are dropped and the file is parsed here from its first byte, so
+    every error has one source; no child outlives the call.
     """
     if missing_policy not in ("error", "listwise"):
         raise ValidationError(
@@ -149,66 +145,27 @@ def load_csv(path, id_column=None, missing_policy="error"):
                             tuple(dropped))
 
 
-def _header(reader, path, id_column):
-    """``(width, id index, indicator names)`` from the header row of ``reader``."""
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValidationError(f"{path}: file is empty") from None
-    header = [h.strip() for h in header]
-    if id_column is None:
-        id_index = 0
-    else:
-        if id_column not in header:
-            raise ValidationError(
-                f"id column {id_column!r} not found; header has {header}"
-            )
-        id_index = header.index(id_column)
-    indicator_names = [h for i, h in enumerate(header) if i != id_index]
-    return len(header), id_index, indicator_names
-
-
 def _block_rows(width):
-    return max(1, _CHUNK_CELLS // max(width, 1))
+    return max(1, _CHUNK_CELLS // width)
 
 
 def _load_serial(path, id_column, missing_policy):
     """``(indicator names, case ids, values, dropped ids)`` of the file, read
     in one pass in this process; the values are an ``array('d')``, row after
     row."""
-    try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            reader = csv.reader(fh)
-            width, id_index, indicator_names = _header(reader, path, id_column)
-            case_ids = []
-            parsed = array("d")  # kept rows' values, row after row
-            dropped = []  # ids of incomplete rows skipped under listwise
-            row_number = 0  # data rows so far; blank lines are not counted
-            for block in _rows.blocks(reader, _block_rows(width)):
-                whole = _rows.parse_block(block, width, id_index, missing_policy)
-                if whole is not None:
-                    ids, values, incomplete = whole
-                    row_number += len(ids) + len(incomplete)
-                    case_ids += ids
-                    parsed += values
-                    dropped += incomplete
-                    continue
-                for row in block:
-                    if _rows.is_blank(row):
-                        continue
-                    row_number += 1
-                    case_id, data = _parse_row(row, row_number, width, id_index,
-                                               indicator_names, missing_policy)
-                    if data is None:
-                        dropped.append(case_id)
-                    else:
-                        case_ids.append(case_id)
-                        parsed.extend(data)
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    except csv.Error as exc:
-        raise ValidationError(f"{path}: line {reader.line_num}: {exc}") from None
-    return indicator_names, case_ids, parsed, dropped
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            width, id_index, names = _rows.header(reader, path, id_column)
+            parsed = _rows.parse_rows(reader, _block_rows(width), id_index, names,
+                                      missing_policy)
+        except UnicodeDecodeError as exc:  # a ValueError, so it comes first
+            raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        except csv.Error as exc:
+            raise ValidationError(f"{path}: line {reader.line_num}: {exc}") from None
+        except ValueError as exc:
+            raise ValidationError(str(exc)) from None
+    return (names, *parsed)
 
 
 def _cpus():
@@ -220,7 +177,7 @@ def _cpus():
 
 def _load_split(path, id_column, missing_policy):
     """What :func:`_load_serial` returns, parsed in two halves on two cores,
-    or None when the file is not split or a half cannot be block-parsed."""
+    or None when the file is not split or either half fails."""
     if _cpus() < 2 or not sys.executable or getattr(sys, "frozen", False):
         return None
     try:
@@ -243,14 +200,14 @@ def _load_split(path, id_column, missing_policy):
                                          st.st_mtime_ns))]
                 return _parse_halves(csv.reader(head), tail, path, id_column,
                                      missing_policy)
-    except (ValidationError, UnicodeDecodeError, csv.Error, OSError):
+    except (ValueError, csv.Error, OSError):
         return None  # the serial parse reports what went wrong
 
 
 def _parse_halves(reader, tail, path, id_column, missing_policy):
     """Parse the head's rows from ``reader`` while a worker parses the tail
-    that the worker arguments ``tail`` name; None if either half refuses."""
-    width, id_index, indicator_names = _header(reader, path, id_column)
+    that the worker arguments ``tail`` name; None if the worker fails."""
+    width, id_index, names = _rows.header(reader, path, id_column)
     rows = _block_rows(width)
     command = [sys.executable, "-I", "-S", _rows.__file__, *tail,
                *map(str, (width, id_index)), missing_policy,
@@ -260,10 +217,9 @@ def _parse_halves(reader, tail, path, id_column, missing_policy):
     with subprocess.Popen(command, bufsize=_READ_BYTES, stdin=subprocess.DEVNULL,
                           stdout=subprocess.PIPE, stderr=subprocess.DEVNULL) as worker:
         try:
-            parsed = _rows.parse_rows(reader, rows, width, id_index, missing_policy)
-            if (parsed is not None and _append_tail(worker.stdout, *parsed)
-                    and worker.wait() == 0):
-                return (indicator_names, *parsed)
+            parsed = _rows.parse_rows(reader, rows, id_index, names, missing_policy)
+            if _append_tail(worker.stdout, *parsed) and worker.wait() == 0:
+                return (names, *parsed)
         finally:
             worker.kill()
             worker.wait()
@@ -323,42 +279,6 @@ def _append_tail(stream, case_ids, parsed, dropped):
     case_ids += ids
     dropped += incomplete
     return True
-
-
-def _parse_row(row, row_number, width, id_index, indicator_names, missing_policy):
-    """``(case id, values)`` of one non-blank data row; values is None if dropped."""
-    if len(row) != width:
-        raise ValidationError(
-            f"row {row_number}: expected {width} fields, got {len(row)}"
-        )
-    case_id = row.pop(id_index).strip()
-    data = []
-    missing_here = False
-    for name, cell in zip(indicator_names, row):
-        try:
-            value = float(cell)
-        except ValueError:
-            # float() ignores surrounding whitespace but for 0x1c-0x1f,
-            # which strip() also removes; a blank cell is missing.
-            text = cell.strip()
-            try:
-                value = float(text or "nan")
-            except ValueError:
-                raise ValidationError(
-                    f"non-numeric value {text!r} at row {row_number}, "
-                    f"column {name!r}"
-                ) from None
-        if not math.isfinite(value):
-            missing_here = True
-            if missing_policy == "error":
-                raise ValidationError(
-                    f"missing value at row {row_number}, column {name!r} "
-                    f"(case {case_id!r}); use missing_policy='listwise' to drop"
-                )
-        data.append(value)
-    if not case_id:
-        raise ValidationError(f"row {row_number}: blank case id")
-    return case_id, None if missing_here else data
 
 
 def column_moments(values, names):

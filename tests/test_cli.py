@@ -861,6 +861,22 @@ def test_numpy_is_the_only_runtime_dependency(table_csv, tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_a_path_stdout_cannot_encode_is_escaped(table_csv, tmp_path, capsys):
+    argv = ["factors", "--input", table_csv, "--retention", "fixed",
+            "--retention-k", "1", "--out-dir", str(tmp_path / "out_\u00e9")]
+    assert main(argv) == 0
+    paths = capsys.readouterr().out.splitlines()
+    src = os.path.dirname(os.path.dirname(factorindex.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "factorindex"] + argv,
+        env=dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING="ascii"),
+        capture_output=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.decode("ascii").splitlines() == [
+        path.encode("ascii", "backslashreplace").decode("ascii") for path in paths]
+    assert "out_\\xe9" in proc.stdout.decode("ascii")
+
+
 class TestNotices:
     @pytest.mark.parametrize("filters", ["error", "ignore"])
     @pytest.mark.parametrize("flags, notice", [

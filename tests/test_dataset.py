@@ -102,6 +102,23 @@ class TestLoadCsv:
         path = write(tmp_path, "community,a,b\nX, 1 ,\t2\nY,\x1f3,4\x1c\nZ,5,6\n")
         np.testing.assert_array_equal(load_csv(path).values, [[1, 2], [3, 4], [5, 6]])
 
+    @pytest.mark.parametrize("split", [False, True])
+    def test_blank_lines_before_the_header_are_skipped(self, tmp_path, monkeypatch,
+                                                        split):
+        body = "id,a,b\nX,1,2\nY,3,4\nZ,5,6\nW,7,8\n"
+        expected = outcome(write(tmp_path, body), "error")
+        path = write(tmp_path, "\n , ,\r\n" + body, name="blank_first.csv")
+        started = force_split(monkeypatch) if split else []
+        assert outcome(path, "error") == expected
+        assert len(started) == split
+
+    @pytest.mark.parametrize("split", [False, True])
+    def test_a_file_of_blank_lines_is_empty(self, tmp_path, monkeypatch, split):
+        path = write(tmp_path, "\n , ,\r\n\n,,\n")
+        if split:
+            force_split(monkeypatch)
+        assert outcome(path, "error") == f"{path}: file is empty"
+
     def test_unknown_id_column(self, tmp_path):
         path = write(tmp_path, "community,a,b\nX,1,2\nY,3,4\nZ,5,6\n")
         with pytest.raises(ValidationError, match="id column"):
@@ -199,6 +216,7 @@ BLOCK_BODIES.update({
     "an id repeated late": GOOD_ROWS + LATER_ROWS + "G0,1,2\n",
     "a blank cell late": GOOD_ROWS + LATER_ROWS + "D,1,\n",
     "a bad cell late": GOOD_ROWS + LATER_ROWS + "D,1,x\n",
+    "a padded cell late": GOOD_ROWS + LATER_ROWS + "D,1,\x1c5\x1c\n",
 })
 
 
@@ -302,6 +320,7 @@ class TestSplit:
     @pytest.mark.parametrize("name", [
         "a byte-order mark", "ids that start with U+FEFF", "CRLF line endings",
         "trailing blank lines", "a blank cell late", "an id repeated late",
+        "a padded cell late",
     ])
     def test_both_halves_take_these(self, tmp_path, monkeypatch, name):
         path = write_body(tmp_path, name)
@@ -434,6 +453,22 @@ class TestSplit:
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
         with pytest.raises(ChildProcessError):  # no child, running or unreaped
             os.waitpid(-1, os.WNOHANG)
+
+    def test_the_worker_imports_no_slow_module(self):
+        # _SPLIT_BYTES rests on the worker's short start; csv.py's import of
+        # re alone would double it. With no arguments the worker exits
+        # non-zero after its imports.
+        proc = subprocess.run([sys.executable, "-I", "-S", "-X", "importtime",
+                               _rows.__file__], capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode != 0
+        imported = {line.rsplit("|", 1)[1].strip()
+                    for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")}
+        assert "_csv" in imported
+        assert not [name for name in imported
+                    if name in ("re", "csv") or name.split(".")[0] in ("numpy",
+                                                                        "factorindex")]
 
     def test_a_worker_traceback_stays_off_stderr(self, tmp_path, monkeypatch, capfd):
         ids, names, values = make_table()
