@@ -78,6 +78,16 @@ _boolean = _check(lambda v: isinstance(v, bool), "true or false",
                   action=argparse.BooleanOptionalAction)
 
 
+def _path(key, value):
+    """A string that ``open`` takes: one without a NUL character."""
+    if "\0" in _string(key, value):
+        _fail(key, "a path without a NUL character", value)
+    return value
+
+
+_path.flag_extras = _string.flag_extras
+
+
 def _integer(low):
     return _check(lambda v: _is_number(v, numbers.Integral) and v >= low,
                   f"an integer >= {low}", type=int)
@@ -126,7 +136,7 @@ def _option(key, check, default=None, flag=None, step=None, help=None):
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    input: str = _option("input", _string, None, "--input",
+    input: str = _option("input", _path, None, "--input",
                          help="input CSV (cases x indicators)")
     id_column: str = _option("id_column", _string, None, "--id-column",
                              help="identifier column name (default: first column)")
@@ -173,7 +183,7 @@ class PipelineConfig:
                                      "--standardize-scope", "comparison")
     levene_center: str = _option("comparison.levene_center", _choice("mean", "median"),
                                  "mean", "--levene-center", "comparison")
-    out_dir: str = _option("output.dir", _string, ".", "--out-dir",
+    out_dir: str = _option("output.dir", _path, ".", "--out-dir",
                            help="output directory")
     formats: tuple = _option("output.formats", _strings(FORMATS), ("json",),
                              "--format", help="output format; repeat for several")

@@ -335,19 +335,27 @@ def _row_sum(values, rows, buffer, center=None):
     return total
 
 
-def standardize(ds):
+def standardize(ds, overwrite=False):
     """Column-wise z-scores of a dataset using the sample (n-1) deviation.
 
     Raises on any constant column, or one too large to standardize, naming
     the indicator. The z-scores are the one table-sized array made: they are
-    divided by the sds in place.
+    divided by the sds in place. With ``overwrite``, none is made: once every
+    column has passed, the z-scores are written over ``ds.values`` itself, so
+    ``ds`` must not be read again. Its buffer must be writable, as those of
+    :func:`load_csv` and :func:`select_variables` are. The z-scores are the
+    same bits either way.
     """
     values = ds.values
     means, sds, constant = column_moments(values, ds.indicator_names)
     first = np.flatnonzero(constant)
     if first.size:
         raise ValidationError(f"zero variance: {ds.indicator_names[first[0]]}")
-    z = values - means
+    if overwrite:
+        values.setflags(write=True)
+        z = np.subtract(values, means, out=values)
+    else:
+        z = values - means
     z /= sds
     return StandardizedMatrix(
         values=z,

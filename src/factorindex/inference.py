@@ -227,8 +227,12 @@ def compare_groups(ds, group1_ids, group2_ids, variables=None, alpha=0.05,
         raise ValidationError(f"groups overlap: {sorted(overlap)}")
     if len(group1_ids) < 2 or len(group2_ids) < 2:
         raise ValidationError("each group needs at least 2 cases")
-    row_of = {cid: i for i, cid in enumerate(ds.case_ids)}
-    unknown = {cid for cid in group1_ids + group2_ids if cid not in row_of}
+    # The row of each group id, found in one pass over the table's ids.
+    row_of = dict.fromkeys(group1_ids + group2_ids)
+    for i, cid in enumerate(ds.case_ids):
+        if cid in row_of:
+            row_of[cid] = i
+    unknown = {cid for cid, row in row_of.items() if row is None}
     if unknown:
         raise ValidationError(f"unknown case id(s): {sorted(unknown)}")
     for label, group in (("1", group1_ids), ("2", group2_ids)):

@@ -76,7 +76,8 @@ def run_pipeline(config, stage="analyze"):
                 else select_variables(ds, config.variables))
     # Unset, the comparison takes the factor model's table itself, not a
     # copy, and the whole table is freed.
-    compared = model_ds if config.compare_variables is None else ds
+    compared = (None if "comparison" not in steps
+                else model_ds if config.compare_variables is None else ds)
     del ds
 
     if "ranking" in steps:
@@ -85,7 +86,10 @@ def run_pipeline(config, stage="analyze"):
 
     model = ranked = comparison = None
     if "model" in steps:
-        z = with_stage("standardize", standardize, model_ds)
+        # A table that no later step reads gets the z-scores over its values.
+        z = with_stage("standardize", standardize, model_ds,
+                       overwrite=model_ds is not compared)
+        del model_ds
         model = build_factor_model(
             z,
             retention_rule=config.retention_rule,

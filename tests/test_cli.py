@@ -1,12 +1,14 @@
 import argparse
 import csv
 import errno
+import io
 import json
 import os
 import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -14,11 +16,14 @@ import pytest
 
 import factorindex
 from factorindex import config as config_module
-from factorindex import pipeline
-from factorindex import reports
+from factorindex import dataset, pipeline, reports
 from factorindex.cli import build_parser, main
 from factorindex.config import PipelineConfig, config_from_dict
+from factorindex.dataset import load_csv, select_variables, standardize
 from factorindex.errors import ValidationError
+from factorindex.factors import build_factor_model, factor_scores
+from factorindex.inference import compare_groups
+from factorindex.ranking import rank_by_factor, with_groups
 
 from conftest import make_table, write_table_csv
 
@@ -830,6 +835,88 @@ class TestAllOrNone:
                                 f"{str(out / 'factor_model.csv')!r}\n")
 
 
+def library_artifacts(model, ranked=None, comparison=None):
+    """Each artifact's text, rendered by ``reports`` from library results."""
+    results = {"model": model, "ranked": ranked, "comparison": comparison}
+    texts, ranking = {}, {}
+    for name, fmt, key, renderer in pipeline._ARTIFACTS:
+        if fmt is None or results[key] is None:
+            continue
+        if renderer is None:
+            ranking[fmt] = texts[name] = io.StringIO()
+        else:
+            texts[name] = getattr(reports, renderer)(results[key])
+    if ranking:
+        reports.write_ranking(ranked, model, ranking)
+    return {name: text if isinstance(text, str) else text.getvalue()
+            for name, text in texts.items()}
+
+
+def library_ranking(path, variables=None):
+    """The model and the ranking of the library path on a fresh load."""
+    ds = load_csv(path)
+    z = standardize(ds if variables is None else select_variables(ds, variables))
+    model = build_factor_model(z)
+    ranked = rank_by_factor(factor_scores(z, model.score_coefficients), 1,
+                            "ascending")
+    return model, with_groups(ranked, 10)
+
+
+ALL_FORMATS = ["--format", "json", "--format", "csv", "--format", "text"]
+
+
+class TestTheLoadedValuesGiveWayToTheZScores:
+    """A table that no later step reads gets the z-scores over its values."""
+
+    @pytest.mark.parametrize("stage", ["rank", "factors"])
+    def test_the_peak_is_below_two_tables(self, tmp_path, monkeypatch, stage):
+        # With the raw values alive beside the z-scores it is 2.3 tables.
+        n, p = 4000, 60
+        ids, names, values = make_table(n=n, p=p, n_factors=6)
+        path = write_table_csv(tmp_path / "table.csv", ids, names, values)
+        monkeypatch.setattr(dataset, "_SPLIT_BYTES", os.path.getsize(path) + 1)
+        config = config_from_dict({"input": path,
+                                   "output": {"dir": str(tmp_path / "out")}})
+        tracemalloc.start()
+        try:
+            pipeline.run_pipeline(config, stage)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.8 * values.nbytes, peak / values.nbytes
+
+    @pytest.mark.parametrize("stage", ["rank", "factors"])
+    def test_artifacts_are_those_of_the_library_path(self, table_csv, tmp_path,
+                                                     stage):
+        out = tmp_path / "out"
+        assert main([stage, "--input", table_csv, "--out-dir", str(out)]
+                    + ALL_FORMATS) == 0
+        model, ranked = library_ranking(table_csv)
+        expected = library_artifacts(model, ranked if stage == "rank" else None)
+        assert sorted(expected) == sorted(set(os.listdir(out)) - {"run_summary.json"})
+        for name, text in expected.items():
+            assert (out / name).read_bytes() == text.encode(), name
+
+    @pytest.mark.parametrize("variables", [True, False])
+    def test_the_comparison_reads_the_loaded_values(self, table_csv, tmp_path,
+                                                    variables):
+        # With --variables the model's copy is overwritten and the comparison
+        # reads the whole table; without, the model's table is the compared
+        # one and is not overwritten.
+        _, names, _ = make_table()
+        chosen = list(names[:12]) if variables else None
+        compared = [names[20], names[2], names[30]]
+        out = tmp_path / "out"
+        flags = ["--variables", ",".join(chosen)] if variables else []
+        assert main(["analyze", "--input", table_csv, "--out-dir", str(out),
+                     "--compare-variables", ",".join(compared)] + flags) == 0
+        _, ranked = library_ranking(table_csv, chosen)
+        report = compare_groups(load_csv(table_csv), ranked.group1_ids,
+                                ranked.group2_ids, variables=compared)
+        assert (out / "comparison.json").read_bytes() == \
+            reports.record_json(report).encode()
+
+
 def test_readme_lists_every_artifact_in_listing_order():
     readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
         __file__))), "README.md")
@@ -1030,6 +1117,21 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("document, key, value", [
+        ({"input": "a\u0000b.csv"}, "input", "'a\\x00b.csv'"),
+        ({"output": {"dir": "o\u0000ut"}}, "output.dir", "'o\\x00ut'"),
+    ])
+    @pytest.mark.parametrize("command", ["factors", "analyze"])
+    def test_a_nul_in_a_path_exits_2_naming_the_key(self, table_csv, tmp_path,
+                                                    capsys, command, document,
+                                                    key, value):
+        document.setdefault("input", table_csv)
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(document))
+        assert main([command, "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {key} must be a path without a NUL character, got {value}\n"
 
     @pytest.mark.parametrize("document, message", [
         ([1, 2], "config document must be a JSON object"),

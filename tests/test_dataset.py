@@ -639,6 +639,41 @@ class TestStandardize:
             tracemalloc.stop()
         assert peak < 1.5 * ds.values.nbytes, peak / ds.values.nbytes
 
+    @pytest.mark.parametrize("split", [False, True])
+    def test_overwrite_writes_the_same_z_over_the_loaded_values(
+            self, tmp_path, monkeypatch, split):
+        ids, names, values = make_table()
+        path = write_table_csv(tmp_path / "t.csv", ids, names, values)
+        expected = standardize(load_csv(path))
+        if split:  # the buffer the tail worker's values were appended to
+            started = force_split(monkeypatch)
+        for ds in (load_csv(path), select_variables(load_csv(path), names)):
+            buffer = ds.values
+            z = standardize(ds, overwrite=True)
+            assert np.shares_memory(z.values, buffer)
+            assert not z.values.flags.writeable
+            assert z.values.tobytes() == expected.values.tobytes()
+            assert z.column_means.tobytes() == expected.column_means.tobytes()
+            assert z.column_sds.tobytes() == expected.column_sds.tobytes()
+        if split:
+            assert len(started) == 2
+
+    def test_by_default_the_values_stay_as_they_were(self):
+        ids, names, values = make_table()
+        ds = dataset_from(ids, names, values.copy())
+        z = standardize(ds)
+        assert not np.shares_memory(z.values, ds.values)
+        assert not ds.values.flags.writeable
+        assert ds.values.tobytes() == values.tobytes()
+
+    def test_a_rejected_column_leaves_the_values_untouched(self):
+        values = np.column_stack([np.arange(5.0), np.full(5, 3.0)])
+        ds = dataset_from([f"c{i}" for i in range(5)], ["x", "flat"], values.copy())
+        with pytest.raises(ValidationError, match="zero variance: flat"):
+            standardize(ds, overwrite=True)
+        assert ds.values.tobytes() == values.tobytes()
+        assert not ds.values.flags.writeable
+
     def test_moments_match_independent_recompute(self):
         rng = np.random.RandomState(3)
         x = rng.randn(20, 4) * rng.uniform(0.5, 9.0, 4) + rng.uniform(-5, 5, 4)

@@ -314,6 +314,13 @@ class TestCompareGroups:
         with pytest.raises(ValidationError, match=f"group 2 repeats case id '{ids[12]}'"):
             compare_groups(ds, ids[:10], ids[10:] + (ids[12],))
 
+    def test_unknown_ids_are_named_before_a_repeated_one(self):
+        ds = two_group_dataset(np.random.RandomState(59))
+        ids = ds.case_ids
+        with pytest.raises(ValidationError) as exc:
+            compare_groups(ds, (ids[0], ids[0], "nope", ids[1]), ids[10:] + ("also",))
+        assert str(exc.value) == "unknown case id(s): ['also', 'nope']"
+
     def test_unknown_variable_suggests(self):
         rng = np.random.RandomState(61)
         ds = two_group_dataset(rng)
