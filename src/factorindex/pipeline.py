@@ -5,7 +5,9 @@ stop early (``factors``, ``rank``) or compare explicit groups without a
 factor model (``compare``). The loaded table is the run's one
 dataset: ``variables`` narrows only the factor model's input, and the
 comparison takes the ``comparison.variables`` columns from the whole table,
-or the factor model's columns when that key is unset.
+or the factor model's columns when that key is unset. When no later step
+reads the factor model's table, its z-scores are written over its values,
+so the run holds the table once.
 
 Each notice (listwise deletion's dropped ids, a varimax rotation with no
 fixed point) is one stderr ``warning: ...`` line, printed once its step
