@@ -1,10 +1,11 @@
-"""The table's text format: its header, blank rows and data rows.
+"""The table's text format, and the protocol of the two-core parse's worker.
 
 :func:`parse_rows` is the one loop over data rows. ``dataset.load_csv``
 runs it on a whole file, or on the first half of a large one while this
-module, run as a script, parses the second half (see :func:`main`). This
-module imports only the standard library and no other module of the
-package, so that it can run in an interpreter started with ``-I -S``.
+module, run as a script (:func:`command`), parses the rest from its stdin
+(:func:`main`) for :func:`read_tail` to read. This module imports only
+the standard library and no other module of the package, so that it can
+run in an interpreter started with ``-I -S``.
 """
 
 # csv.reader and csv.Error are _csv's; csv.py would add an import of re,
@@ -12,12 +13,13 @@ package, so that it can run in an interpreter started with ``-I -S``.
 import _csv
 import io
 import marshal
-import os
 import sys
 from array import array
 from itertools import chain, compress
 from math import isfinite
 from operator import not_
+
+READ_BYTES = 1 << 16  # bytes read at once from a file or the worker's output
 
 
 def is_blank(row):
@@ -181,38 +183,52 @@ def parse_row(row, row_number, id_index, names, missing_policy):
     return case_id, None if missing_here else data
 
 
-def main(argv):
-    """Parse the rows of a file from a byte offset on; write them to stdout.
+def command(width, id_index, policy, size):
+    """The command that runs :func:`main` on rows ``width`` fields wide, with
+    the id in field ``id_index``, under the missing policy ``policy``, in
+    blocks of ``size`` rows, and with this process's CSV field limit."""
+    return [sys.executable, "-I", "-S", __file__,
+            *map(str, (width, id_index, policy, size, _csv.field_size_limit()))]
 
-    ``argv`` is ``PATH OFFSET DEV INO SIZE MTIME_NS WIDTH ID_INDEX POLICY
-    BLOCK_ROWS FIELD_LIMIT``. The file must still be the one described by
-    ``DEV INO SIZE MTIME_NS``. Its bytes from ``OFFSET`` on, which must
-    start a record, are decoded as UTF-8 (a U+FEFF there is data) and
-    parsed with :func:`parse_rows`. On success the output is
-    ``marshal((ids, dropped ids, number of values))`` followed by the
-    values as native doubles, and the exit status is 0. A bad row raises,
-    and any non-zero status means the caller must parse the whole file
-    itself, which reports the error; so the indicator names, which only
-    error messages use, are left blank here.
+
+def main(argv):
+    """Parse the rows on stdin; write them to stdout.
+
+    ``argv`` is ``WIDTH ID_INDEX POLICY BLOCK_ROWS FIELD_LIMIT``. The bytes on
+    stdin, from its current offset on, which must start a record, are decoded
+    as UTF-8 (a U+FEFF there is data) and parsed with :func:`parse_rows`. On
+    success the output is ``marshal((ids, dropped ids, number of values))``
+    followed by the values as native doubles, which :func:`read_tail` reads,
+    and the exit status is 0. A bad row raises, and any non-zero status means
+    the caller must parse the whole file itself, which reports the error; so
+    the indicator names, which only error messages use, are left blank here.
     """
-    path, offset, *identity = argv[:6]
-    width, id_index, policy, size, limit = argv[6:]
+    width, id_index, policy, size, limit = argv
     _csv.field_size_limit(int(limit))
-    with open(path, "rb") as raw:
-        st = os.fstat(raw.fileno())
-        if list(map(int, identity)) != [st.st_dev, st.st_ino, st.st_size,
-                                        st.st_mtime_ns]:
-            return 2
-        raw.seek(int(offset))
-        with io.TextIOWrapper(raw, encoding="utf-8", newline="") as text:
-            ids, values, dropped = parse_rows(_csv.reader(text), int(size),
-                                              int(id_index),
-                                              ("",) * (int(width) - 1), policy)
+    with io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8", newline="") as text:
+        ids, values, dropped = parse_rows(_csv.reader(text), int(size),
+                                          int(id_index),
+                                          ("",) * (int(width) - 1), policy)
     out = sys.stdout.buffer
     marshal.dump((ids, dropped, len(values)), out)
     out.write(values)
     out.flush()
     return 0
+
+
+def read_tail(stream, case_ids, values, dropped):
+    """Append the ids, values and dropped ids that :func:`main` wrote to
+    ``stream``; False if its output is cut short or malformed."""
+    step = READ_BYTES // values.itemsize
+    try:
+        ids, incomplete, count = marshal.load(stream)
+        for start in range(0, count, step):
+            values.fromfile(stream, min(step, count - start))
+    except (EOFError, ValueError, TypeError):
+        return False
+    case_ids += ids
+    dropped += incomplete
+    return True
 
 
 if __name__ == "__main__":

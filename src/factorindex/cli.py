@@ -16,7 +16,8 @@ import argparse
 import sys
 from dataclasses import fields
 
-from .config import COMMANDS, PipelineConfig, config_from_dict, load_config
+from .config import (COMMANDS, PipelineConfig, _path, config_from_dict,
+                     load_config)
 from .errors import NumericalError, ValidationError
 from .pipeline import run_pipeline
 
@@ -46,7 +47,7 @@ def _build_config(args):
     overrides = {key: value for key, value in vars(args).items()
                  if key not in _NON_CONFIG_ARGS}
     if args.config:
-        return load_config(args.config, overrides)
+        return load_config(_path("--config", args.config), overrides)
     return config_from_dict({}, overrides)
 
 

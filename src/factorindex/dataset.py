@@ -2,14 +2,14 @@
 
 The input is a plain CSV: one header row, one identifier column (default:
 the first), every other column numeric. Rows are cases (communities,
-tracts, districts, ...), columns are indicators. Datasets are immutable
-once built; operations return new objects.
+tracts, districts, ...), columns are indicators. A dataset is read-only
+once built, and operations return new objects; only
+``standardize(ds, overwrite=True)`` writes over its values.
 """
 
 import csv
 import difflib
 import io
-import marshal
 import os
 import stat
 import sys
@@ -24,7 +24,6 @@ _MIN_CASES = 3
 _TINY = np.finfo(float).tiny  # the smallest normal float
 _CHUNK_CELLS = 4096  # cells per parse block; bounds the text held at once
 _SPLIT_BYTES = 3_000_000  # smallest file parsed on two cores: the break-even
-_READ_BYTES = 1 << 16  # bytes read at once when scanning or taking the tail
 
 
 @dataclass(frozen=True)
@@ -119,12 +118,15 @@ def load_csv(path, id_column=None, missing_policy="error"):
 
     A regular file of at least ``_SPLIT_BYTES`` bytes, with no ``"`` before
     the first newline after its middle, is parsed on two cores when more
-    than one CPU is available: one short-lived child of ``sys.executable``
-    (``-I -S``, standard library only) runs ``_rows.parse_rows`` on the
-    bytes after that newline while this process runs it on the bytes before
-    it. If either half holds an error, or the child fails in any way, both
-    halves are dropped and the file is parsed here from its first byte, so
-    every error has one source; no child outlives the call.
+    than one CPU is available and the platform has ``os.pread``. The file is
+    opened once, and not split if it changed since its ``os.stat``. One
+    short-lived child of ``sys.executable`` (``-I -S``, standard library
+    only) runs ``_rows.parse_rows`` on the bytes after that newline, read
+    from this open file as its stdin, while this process runs it on the
+    bytes before it, read by position. If either half holds an error, or the
+    child fails in any way, both halves are dropped and the file is parsed
+    here from its first byte, so every error has one source; no child
+    outlives the call.
     """
     if missing_policy not in ("error", "listwise"):
         raise ValidationError(
@@ -178,47 +180,47 @@ def _cpus():
 def _load_split(path, id_column, missing_policy):
     """What :func:`_load_serial` returns, parsed in two halves on two cores,
     or None when the file is not split or either half fails."""
-    if _cpus() < 2 or not sys.executable or getattr(sys, "frozen", False):
+    if (_cpus() < 2 or not hasattr(os, "pread") or not sys.executable
+            or getattr(sys, "frozen", False)):
         return None
     try:
-        real = os.path.realpath(path)  # so that the worker opens the same file
-        st = os.stat(real)
+        st = os.stat(path)
     except (OSError, TypeError, ValueError):
         return None  # the serial open reports it
     # A FIFO is never opened here: a second open would miss its bytes.
     if not stat.S_ISREG(st.st_mode) or st.st_size < _SPLIT_BYTES:
         return None
     try:
-        with open(real, "rb", buffering=0) as raw:
+        with open(path, "rb", buffering=0) as raw:
+            opened = os.fstat(raw.fileno())
+            if not (os.path.samestat(st, opened) and st.st_size == opened.st_size
+                    and st.st_mtime_ns == opened.st_mtime_ns):
+                return None  # changed since it was measured
             split = _split_offset(raw, st.st_size)
             if split is None:
                 return None
-            raw.seek(0)
-            with io.TextIOWrapper(io.BufferedReader(_Head(raw, split)),
+            raw.seek(split)  # where the worker, reading raw as stdin, starts
+            with io.TextIOWrapper(io.BufferedReader(_Head(raw.fileno(), split)),
                                   encoding="utf-8-sig", newline="") as head:
-                tail = [real, *map(str, (split, st.st_dev, st.st_ino, st.st_size,
-                                         st.st_mtime_ns))]
-                return _parse_halves(csv.reader(head), tail, path, id_column,
+                return _parse_halves(csv.reader(head), raw, path, id_column,
                                      missing_policy)
     except (ValueError, csv.Error, OSError):
         return None  # the serial parse reports what went wrong
 
 
 def _parse_halves(reader, tail, path, id_column, missing_policy):
-    """Parse the head's rows from ``reader`` while a worker parses the tail
-    that the worker arguments ``tail`` name; None if the worker fails."""
+    """Parse the head's rows from ``reader`` while a worker parses the rest
+    of the open file ``tail`` from its offset on; None if the worker fails."""
     width, id_index, names = _rows.header(reader, path, id_column)
     rows = _block_rows(width)
-    command = [sys.executable, "-I", "-S", _rows.__file__, *tail,
-               *map(str, (width, id_index)), missing_policy,
-               *map(str, (rows, csv.field_size_limit()))]
     import subprocess  # here, so that importing the package does not pay for it
 
-    with subprocess.Popen(command, bufsize=_READ_BYTES, stdin=subprocess.DEVNULL,
+    with subprocess.Popen(_rows.command(width, id_index, missing_policy, rows),
+                          bufsize=_rows.READ_BYTES, stdin=tail,
                           stdout=subprocess.PIPE, stderr=subprocess.DEVNULL) as worker:
         try:
             parsed = _rows.parse_rows(reader, rows, id_index, names, missing_policy)
-            if _append_tail(worker.stdout, *parsed) and worker.wait() == 0:
+            if _rows.read_tail(worker.stdout, *parsed) and worker.wait() == 0:
                 return (names, *parsed)
         finally:
             worker.kill()
@@ -232,7 +234,7 @@ def _split_offset(raw, size):
     follows that newline, or when a ``"`` comes before it, since a quoted
     field could then hold the newline."""
     middle = size // 2
-    buffer = bytearray(_READ_BYTES)
+    buffer = bytearray(_rows.READ_BYTES)
     start = 0
     while n := raw.readinto(buffer):
         newline = buffer.find(b"\n", max(middle - start, 0), n)
@@ -246,39 +248,22 @@ def _split_offset(raw, size):
 
 
 class _Head(io.RawIOBase):
-    """The first ``size`` bytes of the unbuffered binary file ``raw``, read
-    from its current position."""
+    """The first ``size`` bytes of the file open on descriptor ``fd``, read by
+    position, so that the descriptor's offset is left to the worker."""
 
-    def __init__(self, raw, size):
-        self._raw = raw
-        self._left = size
+    def __init__(self, fd, size):
+        self._fd = fd
+        self._size = size
+        self._at = 0
 
     def readable(self):
         return True
 
     def readinto(self, buffer):
-        n = self._raw.readinto(memoryview(buffer)[:self._left])
-        self._left -= n
-        return n
-
-
-def _append_tail(stream, case_ids, parsed, dropped):
-    """Append the tail worker's ids, values and dropped ids from ``stream``;
-    False if its output is cut short or malformed."""
-    try:
-        ids, incomplete, count = marshal.load(stream)
-    except (EOFError, ValueError, TypeError):
-        return False
-    left = count * parsed.itemsize
-    while left:
-        chunk = stream.read(min(left, _READ_BYTES))
-        if len(chunk) != min(left, _READ_BYTES):
-            return False
-        parsed.frombytes(chunk)
-        left -= len(chunk)
-    case_ids += ids
-    dropped += incomplete
-    return True
+        data = os.pread(self._fd, min(len(buffer), self._size - self._at), self._at)
+        buffer[:len(data)] = data
+        self._at += len(data)
+        return len(data)
 
 
 def column_moments(values, names):
@@ -291,18 +276,19 @@ def column_moments(values, names):
     square is off by up to half its spacing, which from that bound up costs
     the sum at most half an ulp.
 
-    The sums are taken in row blocks of about ``_CHUNK_CELLS`` cells, each
-    block's sum starting from the running total, which is numpy's own axis-0
-    order for a C-ordered table. So the means and sds are bit for bit
-    ``values.mean(axis=0)`` and ``values.std(axis=0, ddof=1)``, whatever the
-    block size, without their table-sized temporary. numpy sums a single
-    column pairwise instead, so one column is one block.
+    The means are ``values.sum(axis=0) / n``, as ``values.mean(axis=0)``
+    computes them. The squared deviations are summed in row blocks of about
+    ``_CHUNK_CELLS`` cells, each block's sum starting from the running total,
+    which is numpy's own axis-0 order for a C-ordered table. So the sds are
+    bit for bit ``values.std(axis=0, ddof=1)``, whatever the block size,
+    without its table-sized temporary. numpy sums a single column pairwise
+    instead, so one column is one block.
     """
     n, p = values.shape
     rows = n if p == 1 else max(1, _CHUNK_CELLS // p)
     buffer = np.empty((min(rows, n) + 1, p))  # running total, then a block
     with np.errstate(over="ignore", invalid="ignore"):
-        means = _row_sum(values, rows, buffer) / n
+        means = values.sum(axis=0) / n
         squares = _row_sum(values, rows, buffer, means)
         sds = np.sqrt(squares / (n - 1))
     bad = np.flatnonzero(~(np.isfinite(means) & np.isfinite(sds)))
@@ -315,9 +301,9 @@ def column_moments(values, names):
     return means, sds, constant
 
 
-def _row_sum(values, rows, buffer, center=None):
-    """Column sums of ``values``, or of its squared deviations from
-    ``center``, added row after row through ``buffer``, ``rows`` at a time."""
+def _row_sum(values, rows, buffer, center):
+    """Column sums of the squared deviations of ``values`` from ``center``,
+    added row after row through ``buffer``, ``rows`` at a time."""
     total = None
     for start in range(0, len(values), rows):
         block = values[start:start + rows]
@@ -326,11 +312,8 @@ def _row_sum(values, rows, buffer, center=None):
         if head:
             part[0] = total
         out = part[head:]
-        if center is None:
-            out[...] = block
-        else:
-            np.subtract(block, center, out=out)
-            np.multiply(out, out, out=out)
+        np.subtract(block, center, out=out)
+        np.multiply(out, out, out=out)
         total = part.sum(axis=0)
     return total
 

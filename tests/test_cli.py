@@ -1133,6 +1133,11 @@ class TestConfigFile:
         assert capsys.readouterr().err == \
             f"error: {key} must be a path without a NUL character, got {value}\n"
 
+    def test_a_nul_in_the_config_path_exits_2(self, capsys):
+        assert main(["factors", "--config", "a\x00b.json"]) == 2
+        assert capsys.readouterr().err == ("error: --config must be a path without "
+                                           "a NUL character, got 'a\\x00b.json'\n")
+
     @pytest.mark.parametrize("document, message", [
         ([1, 2], "config document must be a JSON object"),
         ({"ranking": {"k": 3}},

@@ -361,7 +361,7 @@ class TestSplit:
         else:
             cpus = os.cpu_count()
         assert outcome(path, "listwise") == serial
-        assert len(started) == (cpus > 1)
+        assert len(started) == (cpus > 1 and hasattr(os, "pread"))
 
     @pytest.mark.parametrize("worker", [
         "raise SystemExit(1)",
@@ -408,16 +408,38 @@ class TestSplit:
 
         def stat(name, *args, **kwargs):
             st = real_stat(name, *args, **kwargs)
-            if os.fspath(name) != os.path.realpath(path):
+            if os.fspath(name) != os.fspath(path):
                 return st
-            # The file as it was a nanosecond before the worker opened it.
+            # The file as it was a nanosecond before it was opened.
             return types.SimpleNamespace(st_mode=st.st_mode, st_size=st.st_size,
                                          st_dev=st.st_dev, st_ino=st.st_ino,
                                          st_mtime_ns=st.st_mtime_ns - 1)
 
         monkeypatch.setattr(dataset.os, "stat", stat)
         assert outcome(path, "listwise") == serial
-        assert [worker.returncode for worker in started] == [2]
+        assert started == []
+
+    def test_a_file_replaced_after_the_split_is_read_as_opened(self, tmp_path,
+                                                               monkeypatch):
+        path = tmp_path / "data.csv"
+        rows = "".join(f"r{i},{i}.5,{-i}.25\n" for i in range(40))
+        path.write_text("id,a,b\n" + rows, encoding="ascii")
+        serial = outcome(path, "listwise")
+        started = force_split(monkeypatch)
+        split_offset = dataset._split_offset
+
+        def replacing(raw, size):
+            split = split_offset(raw, size)
+            replacement = tmp_path / "replacement.csv"
+            replacement.write_text("id,a,b\n" + rows.replace("r", "s"),
+                                   encoding="ascii")
+            os.replace(replacement, path)
+            return split
+
+        monkeypatch.setattr(dataset, "_split_offset", replacing)
+        assert outcome(path, "listwise") == serial
+        assert serial[0][0] == "r0"
+        assert [worker.returncode for worker in started] == [0]
 
     def test_a_refused_tail_leaves_nothing(self, tmp_path, monkeypatch):
         path = write_body(tmp_path, "a bad cell late")
