@@ -241,17 +241,21 @@ def compare_groups(ds, group1_ids, group2_ids, variables=None, alpha=0.05,
             raise ValidationError(f"group {label} repeats case id {repeated!r}")
 
     sub = ds if variables is None else ds_mod.select_variables(ds, variables)
-    # Group 1's rows then group 2's, in id-list order; group 1 is block[:n1].
+    # Group 1's rows then group 2's, in id-list order; group 1 is rows[:n1].
     n1 = len(group1_ids)
-    block = sub.values[[row_of[cid] for cid in group1_ids + group2_ids]]
+    rows = np.array([row_of[cid] for cid in group1_ids + group2_ids], dtype=np.intp)
     del row_of  # not held through the scope statistics
 
-    scope = block if standardize_scope == "selected" else sub.values
+    # The "selected" moments are summed over the groups' rows as one C-ordered
+    # block, which fixes their bits; the block is dropped before the loop,
+    # which gathers one column at a time.
+    scope = sub.values[rows] if standardize_scope == "selected" else sub.values
     scope_means, scope_sds, constant = ds_mod.column_moments(scope, sub.indicator_names)
+    del scope
 
     records = []
     for j, name in enumerate(sub.indicator_names):
-        column = block[:, j]
+        column = sub.values[rows, j]
         desc1 = group_descriptives(column[:n1])
         desc2 = group_descriptives(column[n1:])
         try:

@@ -7,7 +7,8 @@ dataset: ``variables`` narrows only the factor model's input, and the
 comparison takes the ``comparison.variables`` columns from the whole table,
 or the factor model's columns when that key is unset. When no later step
 reads the factor model's table, its z-scores are written over its values,
-so the run holds the table once.
+so the run holds the table once. The compared table is dropped before the
+files are written.
 
 Each notice (listwise deletion's dropped ids, a varimax rotation with no
 fixed point) is one stderr ``warning: ...`` line, printed once its step
@@ -91,7 +92,6 @@ def run_pipeline(config, stage="analyze"):
         # A table that no later step reads gets the z-scores over its values.
         z = with_stage("standardize", standardize, model_ds,
                        overwrite=model_ds is not compared)
-        del model_ds
         model = build_factor_model(
             z,
             retention_rule=config.retention_rule,
@@ -104,6 +104,7 @@ def run_pipeline(config, stage="analyze"):
         if not model.rotation_converged:
             _notice(f"varimax did not reach a fixed point in "
                     f"{config.rotation_max_iter} sweeps; returning best iterate")
+    del model_ds  # an overwritten one is z's buffer, which the ranking frees
 
     if "ranking" in steps:
         scores = with_stage("scoring", factor_scores, z, model.score_coefficients)
@@ -120,6 +121,7 @@ def run_pipeline(config, stage="analyze"):
             alpha_levene=config.alpha_levene, ci_level=config.ci_level,
             standardize_scope=config.standardize_scope,
             levene_center=config.levene_center)
+    del compared  # not held through the write
 
     files = _write_outputs(config, model, ranked, comparison)
     return PipelineResult(config=config, model=model, ranked=ranked,

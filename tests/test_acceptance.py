@@ -92,6 +92,31 @@ def test_a6_kmo_label():
               kmo_label(0.707) == "middling")
 
 
+def test_a7_pooled_t_and_p_from_the_descriptives():
+    # The table prints the pooled row (df 18) throughout. t does not change
+    # under standardizing, so each row's raw descriptives give it. The transit
+    # row's do not give its printed t and p: a defect of the source table,
+    # which the golden data keeps as printed.
+    derived = {}
+    for name, ((n1, m1, s1, _), (n2, m2, s2, _)) in GROUP_STATS.items():
+        df = n1 + n2 - 2
+        se = math.sqrt(((n1 - 1) * s1 ** 2 + (n2 - 1) * s2 ** 2) / df
+                       * (1.0 / n1 + 1.0 / n2))
+        t = (m1 - m2) / se
+        derived[name] = (t, df, t_two_tailed_p(t, df))
+    agree = {name for name, (t, df, p) in derived.items()
+             if T_TABLE[name][3] == df and abs(T_TABLE[name][2] - t) <= 0.001
+             and abs(T_TABLE[name][4] - p) <= 0.001}
+    transit = "Population 1/4 mile to transit"
+    t, _, p = derived[transit]
+    criterion("A7 pooled t and p from the descriptives match 13 of 14 rows "
+              "(tol 0.001); the transit row is inconsistent",
+              agree == set(T_TABLE) - {transit}
+              and (round(t, 3), round(p, 3)) == (1.942, 0.068),
+              f"transit: t = {t:.3f}, p = {p:.3f} against the printed "
+              f"{T_TABLE[transit][2]}, {T_TABLE[transit][4]:.3f}")
+
+
 # ---------------------------------------------------------------------------
 # B. oracle and property suites
 

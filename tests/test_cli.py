@@ -885,6 +885,26 @@ class TestTheLoadedValuesGiveWayToTheZScores:
             tracemalloc.stop()
         assert peak <= 1.8 * values.nbytes, peak / values.nbytes
 
+    def test_a_compare_run_peaks_below_one_and_a_half_tables(self, tmp_path,
+                                                             monkeypatch):
+        # The groups' block beside the table, and the table held through the
+        # write, would take it to 1.7 tables.
+        n, p = 20_000, 40
+        ids, names, values = make_table(n=n, p=p, n_factors=4)
+        path = write_table_csv(tmp_path / "table.csv", ids, names, values)
+        monkeypatch.setattr(dataset, "_SPLIT_BYTES", os.path.getsize(path) + 1)
+        config = config_from_dict({
+            "input": path, "output": {"dir": str(tmp_path / "out")},
+            "comparison": {"group1": list(ids[:2500]), "group2": list(ids[-2500:]),
+                           "standardize_scope": "all"}})
+        tracemalloc.start()
+        try:
+            pipeline.run_pipeline(config, "compare")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * values.nbytes, peak / values.nbytes
+
     @pytest.mark.parametrize("stage", ["rank", "factors"])
     def test_artifacts_are_those_of_the_library_path(self, table_csv, tmp_path,
                                                      stage):

@@ -526,10 +526,31 @@ class TestDatasetInvariants:
         values = load_csv(path).values
         assert values.flags.c_contiguous and not values.flags.owndata  # the parse buffer
 
-    def test_non_finite_rejected(self):
+    @pytest.mark.parametrize("cell", [(1, 0), (2, 1)], ids=["inner", "last"])
+    @pytest.mark.parametrize("value", [np.nan, -np.inf, np.inf])
+    def test_non_finite_rejected(self, value, cell):
+        values = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        values[cell] = value
         with pytest.raises(ValidationError, match="non-finite"):
-            dataset_from(["a", "b", "c"], ["x", "y"],
-                         [[1, 2], [np.inf, 4], [5, 6]])
+            dataset_from(["a", "b", "c"], ["x", "y"], values)
+
+    def test_the_largest_finite_values_are_accepted(self):
+        big = np.finfo(float).max
+        dataset_from(["a", "b", "c"], ["x"], [[-big], [big], [0.0]])
+
+    def test_the_first_repeat_is_named_not_the_first_id(self):
+        assert dataset.first_duplicate(["a", "b", "c", "b", "a"]) == "b"
+        assert dataset.first_duplicate(["a", "b", "c"]) is None
+        with pytest.raises(ValidationError) as exc:
+            dataset_from(["a", "b", "c", "b", "a"], ["x"], np.ones((5, 1)))
+        assert str(exc.value) == "duplicate case id: 'b'"
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 2), (6,)])
+    def test_values_must_match_the_ids_and_names(self, shape):
+        with pytest.raises(ValidationError) as exc:
+            dataset_from(["a", "b", "c"], ["x", "y"], np.zeros(shape))
+        assert str(exc.value) == (f"values shape {shape} does not match "
+                                  "3 cases x 2 indicators")
 
     def test_values_immutable(self):
         ds = dataset_from(["a", "b", "c"], ["x", "y"], [[1, 2], [3, 4], [5, 6]])

@@ -345,6 +345,8 @@ class TestCompareGroups:
          r"confidence level must have \(1 \+ level\) / 2 below 1, got 0.9999999999999999"),
         ("levene_center", "bogus",
          "center must be 'mean' or 'median', got 'bogus'"),
+        ("standardize_scope", "bogus",
+         "standardize_scope must be 'selected' or 'all', got 'bogus'"),
     ])
     def test_options_checked_when_every_variable_is_degenerate(self, option, value,
                                                                message):
@@ -398,3 +400,15 @@ class TestCompareGroups:
         finally:
             tracemalloc.stop()
         assert peak < ds.values.nbytes, (peak, ds.values.nbytes)
+
+    def test_the_groups_are_read_one_column_at_a_time(self):
+        # A block of the groups' rows would be 0.25 tables on its own.
+        ds = two_group_dataset(np.random.RandomState(83), n=20_000, p=40)
+        tracemalloc.start()
+        try:
+            compare_groups(ds, ds.case_ids[:2500], ds.case_ids[-2500:],
+                           standardize_scope="all")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * ds.values.nbytes, peak / ds.values.nbytes
