@@ -22,7 +22,8 @@ typo cannot silently fall back to a default; a wrongly typed value or a
 non-finite real is rejected naming its key. Each leaf is declared once, as
 a :class:`PipelineConfig` field whose metadata holds its key, its check,
 its CLI flag and the step that reads it; :data:`COMMANDS` states which steps
-each subcommand runs.
+each subcommand runs. A choice's values are the tuple of the module that
+branches on it, and its default is that tuple's first entry.
 """
 
 import argparse
@@ -31,10 +32,14 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass, field, fields
+from functools import partial
 
-from .errors import ValidationError
-from .factors import DEFAULT_MAX_SWEEPS, DEFAULT_ROTATION_TOL
-from .inference import valid_ci_level
+from .dataset import MISSING_POLICIES
+from .errors import ValidationError, check_choice, check_integer, reject
+from .factors import (DEFAULT_MAX_SWEEPS, DEFAULT_ROTATION_TOL, RETENTION_RULES,
+                      ROTATION_METHODS)
+from .inference import LEVENE_CENTERS, STANDARDIZE_SCOPES, valid_ci_level
+from .ranking import DIRECTIONS
 
 FORMATS = ("json", "csv", "text")
 
@@ -55,22 +60,22 @@ def _csv_list(text):
     return tuple(item for item in items if item)
 
 
-def _fail(key, expected, value):
-    raise ValidationError(f"{key} must be {expected}, got {value!r}")
-
-
-def _check(accepts, expected, **flag_extras):
-    """A value check, carrying the argparse keywords of the value's flag."""
-    def check(key, value):
-        if not accepts(value):
-            _fail(key, expected, value)
-        return value
+def _flag(check, **flag_extras):
+    """``check``, carrying the argparse keywords of the value's flag."""
     check.flag_extras = flag_extras
     return check
 
 
-def _is_number(value, kind=numbers.Real):
-    return isinstance(value, kind) and not isinstance(value, bool)
+def _check(accepts, expected, **flag_extras):
+    def check(key, value):
+        if not accepts(value):
+            reject(key, expected, value)
+        return value
+    return _flag(check, **flag_extras)
+
+
+def _is_number(value):
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 _string = _check(lambda v: isinstance(v, str), "a string")
@@ -81,7 +86,7 @@ _boolean = _check(lambda v: isinstance(v, bool), "true or false",
 def _path(key, value):
     """A string that ``open`` takes: one without a NUL character."""
     if "\0" in _string(key, value):
-        _fail(key, "a path without a NUL character", value)
+        reject(key, "a path without a NUL character", value)
     return value
 
 
@@ -89,8 +94,7 @@ _path.flag_extras = _string.flag_extras
 
 
 def _integer(low):
-    return _check(lambda v: _is_number(v, numbers.Integral) and v >= low,
-                  f"an integer >= {low}", type=int)
+    return _flag(partial(check_integer, low=low), type=int)
 
 
 def _real(low, high=math.inf):
@@ -106,19 +110,18 @@ _level = _check(lambda v: _is_number(v) and valid_ci_level(v),
                 "a number in (0, 1) with (1 + level) / 2 below 1", type=float)
 
 
-def _choice(*allowed):
-    return _check(lambda v: v in allowed,
-                  f"one of {', '.join(map(repr, allowed))}", choices=list(allowed))
+def _choice(allowed):
+    return _flag(partial(check_choice, allowed=allowed), choices=list(allowed))
 
 
 def _strings(allowed=None):
     """A list of strings, stored as a tuple; entries from ``allowed`` if given."""
-    entry = (_choice(*allowed) if allowed
+    entry = (_choice(allowed) if allowed
              else _check(lambda v: isinstance(v, str), "strings"))
 
     def check(key, value):
         if not isinstance(value, (list, tuple)):
-            _fail(key, "a list of strings", value)
+            reject(key, "a list of strings", value)
         return tuple(entry(f"{key} entries", item) for item in value)
     # A list from a fixed vocabulary is given on the command line by
     # repeating its flag, any other list as one comma-separated value.
@@ -140,16 +143,16 @@ class PipelineConfig:
                          help="input CSV (cases x indicators)")
     id_column: str = _option("id_column", _string, None, "--id-column",
                              help="identifier column name (default: first column)")
-    missing_policy: str = _option("missing_policy", _choice("error", "listwise"),
-                                  "error", "--missing-policy")
+    missing_policy: str = _option("missing_policy", _choice(MISSING_POLICIES),
+                                  MISSING_POLICIES[0], "--missing-policy")
     variables: tuple = _option("variables", _strings(), None, "--variables",
                                help="comma-separated analysis variables (default: all)")
-    retention_rule: str = _option("retention.rule", _choice("kaiser", "fixed"),
-                                  "kaiser", "--retention", "model")
+    retention_rule: str = _option("retention.rule", _choice(RETENTION_RULES),
+                                  RETENTION_RULES[0], "--retention", "model")
     retention_k: int = _option("retention.k", _integer(1), None, "--retention-k",
                                "model")
-    rotation_method: str = _option("rotation.method", _choice("varimax", "none"),
-                                   "varimax", "--rotation", "model")
+    rotation_method: str = _option("rotation.method", _choice(ROTATION_METHODS),
+                                   ROTATION_METHODS[0], "--rotation", "model")
     kaiser_normalization: bool = _option("rotation.kaiser_normalization", _boolean,
                                          True, "--kaiser-normalization", "model")
     rotation_tol: float = _option("rotation.tol", _real(0.0), DEFAULT_ROTATION_TOL,
@@ -158,9 +161,8 @@ class PipelineConfig:
                                      DEFAULT_MAX_SWEEPS, "--rotation-max-iter", "model")
     ranking_factor: int = _option("ranking.factor", _integer(1), 1, "--factor",
                                   "ranking", help="1-based factor to rank on")
-    ranking_direction: str = _option("ranking.direction",
-                                     _choice("ascending", "descending"),
-                                     "ascending", "--direction", "ranking")
+    ranking_direction: str = _option("ranking.direction", _choice(DIRECTIONS),
+                                     DIRECTIONS[0], "--direction", "ranking")
     ranking_k: int = _option("ranking.k", _integer(1), 10, "--k", "ranking",
                              help="group size for the top/bottom split")
     compare_variables: tuple = _option(
@@ -179,10 +181,10 @@ class PipelineConfig:
     ci_level: float = _option("comparison.ci_level", _level, 0.95,
                               "--ci-level", "comparison")
     standardize_scope: str = _option("comparison.standardize_scope",
-                                     _choice("selected", "all"), "selected",
+                                     _choice(STANDARDIZE_SCOPES), STANDARDIZE_SCOPES[0],
                                      "--standardize-scope", "comparison")
-    levene_center: str = _option("comparison.levene_center", _choice("mean", "median"),
-                                 "mean", "--levene-center", "comparison")
+    levene_center: str = _option("comparison.levene_center", _choice(LEVENE_CENTERS),
+                                 LEVENE_CENTERS[0], "--levene-center", "comparison")
     out_dir: str = _option("output.dir", _path, ".", "--out-dir",
                            help="output directory")
     formats: tuple = _option("output.formats", _strings(FORMATS), ("json",),

@@ -18,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _rows
-from .errors import ValidationError
+from .errors import ValidationError, check_choice
 
+MISSING_POLICIES = ("error", "listwise")  # the first is the default
 _MIN_CASES = 3
 _TINY = np.finfo(float).tiny  # the smallest normal float
 _CHUNK_CELLS = 4096  # cells per parse block; bounds the text held at once
@@ -103,7 +104,7 @@ def first_duplicate(items):
     return None
 
 
-def load_csv(path, id_column=None, missing_policy="error"):
+def load_csv(path, id_column=None, missing_policy=MISSING_POLICIES[0]):
     """Read an indicator table from ``path`` into an :class:`IndicatorDataset`.
 
     ``id_column`` names the identifier column (default: the first column).
@@ -130,10 +131,7 @@ def load_csv(path, id_column=None, missing_policy="error"):
     here from its first byte, so every error has one source; no child
     outlives the call.
     """
-    if missing_policy not in ("error", "listwise"):
-        raise ValidationError(
-            f"missing_policy must be 'error' or 'listwise', got {missing_policy!r}"
-        )
+    check_choice("missing_policy", missing_policy, MISSING_POLICIES)
     loaded = _load_split(path, id_column, missing_policy)
     if loaded is None:
         loaded = _load_serial(path, id_column, missing_policy)

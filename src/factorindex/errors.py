@@ -3,8 +3,11 @@
 Two broad families matter to callers: bad inputs or configuration
 (:class:`ValidationError`) and numerical breakdowns such as singular
 matrices or failed iterations (:class:`NumericalError`). The CLI maps
-them to exit codes 2 and 3 respectively.
+them to exit codes 2 and 3 respectively. A bad argument or config value
+is reported in one shape, ``"{name} must be {expected}, got {value!r}"``.
 """
+
+import numbers
 
 
 class ValidationError(ValueError):
@@ -35,3 +38,22 @@ def with_stage(stage, fn, *args, **kwargs):
         if exc.stage is None:
             exc.stage = stage
         raise
+
+
+def reject(name, expected, value):
+    raise ValidationError(f"{name} must be {expected}, got {value!r}")
+
+
+def check_choice(name, value, allowed):
+    """Return ``value`` if it is one of ``allowed``; else reject it by ``name``."""
+    if value not in allowed:
+        reject(name, f"one of {', '.join(map(repr, allowed))}", value)
+    return value
+
+
+def check_integer(name, value, low):
+    """Return ``value`` if it is an integer (not a bool) >= ``low``."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= low):
+        reject(name, f"an integer >= {low}", value)
+    return value

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import StandardizedMatrix
-from .errors import NumericalError, ValidationError, with_stage
+from .errors import (NumericalError, ValidationError, check_choice, check_integer,
+                     with_stage)
 from .numkernel import (_SPD_MIN_EIGENVALUE, as_matrix, canonical_signs,
                         invert_spd, sym_eigen)
 
@@ -22,6 +23,9 @@ from .numkernel import (_SPD_MIN_EIGENVALUE, as_matrix, canonical_signs,
 # defaults of the rotation.tol and rotation.max_iter config keys.
 DEFAULT_ROTATION_TOL = 1e-12
 DEFAULT_MAX_SWEEPS = 1000
+# The values of retention.rule and rotation.method; the first is the default.
+RETENTION_RULES = ("kaiser", "fixed")
+ROTATION_METHODS = ("varimax", "none")
 
 KMO_LABELS = (
     (0.9, "marvelous"),
@@ -87,7 +91,7 @@ def correlation_matrix(z):
     return r
 
 
-def extract_pca(r, rule="kaiser", k=None):
+def extract_pca(r, rule=RETENTION_RULES[0], k=None):
     """Principal-components extraction from a correlation matrix.
 
     Returns ``(decomposition, loadings, retained)``: the ``sym_eigen``
@@ -95,6 +99,7 @@ def extract_pca(r, rule="kaiser", k=None):
     eigenvector_j * sqrt(eigenvalue_j). Retention is either ``"kaiser"``
     (strictly eigenvalue > 1) or ``"fixed"`` with an explicit ``k``.
     """
+    check_choice("retention rule", rule, RETENTION_RULES)
     r = as_matrix(r, "correlation matrix")
     p = r.shape[0]
     decomp = sym_eigen(r)
@@ -106,14 +111,10 @@ def extract_pca(r, rule="kaiser", k=None):
                 "no eigenvalue exceeds 1, so the Kaiser rule retains nothing; "
                 "use fixed retention (rule='fixed', k=...) instead"
             )
-    elif rule == "fixed":
-        if k is None or k < 1:
-            raise ValidationError("fixed retention requires k >= 1")
-        if k > p:
-            raise ValidationError(f"cannot retain k={k} factors from p={p} variables")
-        retained = int(k)
     else:
-        raise ValidationError(f"unknown retention rule {rule!r}")
+        retained = int(check_integer("k", k, 1))
+        if retained > p:
+            raise ValidationError(f"cannot retain k={k} factors from p={p} variables")
     scale = np.sqrt(np.maximum(eigenvalues[:retained], 0.0))
     loadings = decomp.eigenvectors[:, :retained] * scale
     return decomp, loadings, retained
@@ -188,12 +189,9 @@ def varimax(loadings, kaiser_normalize=True, tol=DEFAULT_ROTATION_TOL,
     """
     a = as_matrix(loadings, "loadings")
     p, k = a.shape
-    if k < 1:
-        raise ValidationError("need at least one factor column")
     if p < k:
         raise ValidationError(f"need at least as many variables as factors ({p} < {k})")
-    if max_iter < 1:
-        raise ValidationError("max_iter must be >= 1")
+    check_integer("max_iter", max_iter, 1)
 
     rotation = np.eye(k)
     h = np.sqrt(np.sum(a * a, axis=1))
@@ -291,16 +289,15 @@ def _singular_cause(decomp, z):
             "are collinear; drop one of them")
 
 
-def build_factor_model(z, retention_rule="kaiser", retention_k=None,
-                       rotation_method="varimax", kaiser_normalize=True,
+def build_factor_model(z, retention_rule=RETENTION_RULES[0], retention_k=None,
+                       rotation_method=ROTATION_METHODS[0], kaiser_normalize=True,
                        rotation_tol=DEFAULT_ROTATION_TOL,
                        rotation_max_iter=DEFAULT_MAX_SWEEPS):
     """Run extraction, rotation, diagnostics, and score coefficients in order."""
     p = len(z.indicator_names)
     if p < 2:  # KMO needs an off-diagonal correlation
         raise ValidationError(f"need at least 2 indicators, got {p}")
-    if rotation_method not in ("varimax", "none"):
-        raise ValidationError(f"unknown rotation method {rotation_method!r}")
+    check_choice("rotation_method", rotation_method, ROTATION_METHODS)
     r = with_stage("correlation", correlation_matrix, z)
     decomp, unrotated, retained = with_stage(
         "extraction", extract_pca, r, rule=retention_rule, k=retention_k)

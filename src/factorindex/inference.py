@@ -12,10 +12,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dataset as ds_mod
-from .errors import DegenerateDataError, ValidationError
+from .errors import DegenerateDataError, ValidationError, check_choice, reject
 from .numkernel import f_tail_p, t_quantile, t_two_tailed_p
 
 _ZERO_SS = 1e-300
+# The values of standardize_scope and levene_center; the first is the default.
+STANDARDIZE_SCOPES = ("selected", "all")
+LEVENE_CENTERS = ("mean", "median")
 
 
 @dataclass(frozen=True)
@@ -96,14 +99,9 @@ def group_descriptives(values):
     return GroupDescriptives(n=n, mean=float(arr.mean()), sd=sd, sem=sd / math.sqrt(n))
 
 
-def _check_center(center):
-    if center not in ("mean", "median"):
-        raise ValidationError(f"center must be 'mean' or 'median', got {center!r}")
-
-
 def _check_probability(label, value):
     if not 0.0 < value < 1.0:
-        raise ValidationError(f"{label} must be in (0, 1), got {value!r}")
+        reject(label, "in (0, 1)", value)
 
 
 def valid_ci_level(level):
@@ -114,19 +112,18 @@ def valid_ci_level(level):
 
 
 def _check_level(level):
-    _check_probability("confidence level", level)
     if not valid_ci_level(level):
-        raise ValidationError(
-            f"confidence level must have (1 + level) / 2 below 1, got {level!r}")
+        reject("confidence level", "a number in (0, 1) with (1 + level) / 2 below 1",
+               level)
 
 
-def levene_test(g1, g2, center="mean"):
+def levene_test(g1, g2, center=LEVENE_CENTERS[0]):
     """Levene's equality-of-variances test for two groups.
 
     One-way ANOVA on absolute deviations from each group's center
     (mean for the classic statistic, median for Brown-Forsythe).
     """
-    _check_center(center)
+    check_choice("center", center, LEVENE_CENTERS)
     a = _as_sample(g1)
     b = _as_sample(g2)
     middle = np.mean if center == "mean" else np.median
@@ -197,8 +194,9 @@ def t_tests(g1, g2, level=0.95):
 
 
 def compare_groups(ds, group1_ids, group2_ids, variables=None, alpha=0.05,
-                   alpha_levene=0.05, ci_level=0.95, standardize_scope="selected",
-                   levene_center="mean"):
+                   alpha_levene=0.05, ci_level=0.95,
+                   standardize_scope=STANDARDIZE_SCOPES[0],
+                   levene_center=LEVENE_CENTERS[0]):
     """Per-variable two-group comparison over an indicator dataset.
 
     ``variables`` names the compared columns of ``ds``, in report order;
@@ -212,14 +210,11 @@ def compare_groups(ds, group1_ids, group2_ids, variables=None, alpha=0.05,
     whose mean or sd within the scope overflows stops it, by name. Each
     group's rows are read in id-list order, whatever the row order of ``ds``.
     """
-    if standardize_scope not in ("selected", "all"):
-        raise ValidationError(
-            f"standardize_scope must be 'selected' or 'all', got {standardize_scope!r}"
-        )
+    check_choice("standardize_scope", standardize_scope, STANDARDIZE_SCOPES)
     _check_probability("alpha", alpha)
     _check_probability("alpha_levene", alpha_levene)
     _check_level(ci_level)
-    _check_center(levene_center)
+    check_choice("levene_center", levene_center, LEVENE_CENTERS)
     group1_ids = tuple(group1_ids)
     group2_ids = tuple(group2_ids)
     overlap = set(group1_ids) & set(group2_ids)

@@ -4,8 +4,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_choice
 from .factors import FactorScores
+
+DIRECTIONS = ("ascending", "descending")  # the first is the default
 
 
 @dataclass(frozen=True)
@@ -48,7 +50,7 @@ def _resolve_factor(selector, n_factors):
     return selector
 
 
-def rank_by_factor(scores, factor, direction="ascending"):
+def rank_by_factor(scores, factor, direction=DIRECTIONS[0]):
     """Rank all cases on one score column.
 
     ``direction='ascending'`` puts the smallest score at rank 1 (the usual
@@ -57,10 +59,7 @@ def rank_by_factor(scores, factor, direction="ascending"):
     """
     if not isinstance(scores, FactorScores):
         raise ValidationError("rank_by_factor expects FactorScores")
-    if direction not in ("ascending", "descending"):
-        raise ValidationError(
-            f"direction must be 'ascending' or 'descending', got {direction!r}"
-        )
+    check_choice("direction", direction, DIRECTIONS)
     idx = _resolve_factor(factor, scores.scores.shape[1])
     column = scores.scores[:, idx - 1]
     ids = scores.case_ids

@@ -5,6 +5,7 @@ at the stated tolerances; group B runs the oracle and property batteries.
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 
+import json
 import math
 import os
 
@@ -115,6 +116,59 @@ def test_a7_pooled_t_and_p_from_the_descriptives():
               and (round(t, 3), round(p, 3)) == (1.942, 0.068),
               f"transit: t = {t:.3f}, p = {p:.3f} against the printed "
               f"{T_TABLE[transit][2]}, {T_TABLE[transit][4]:.3f}")
+
+
+def test_a8_the_table_through_the_cli(tmp_path):
+    # Each group's column is mean + sd * u, with u a fixed vector of mean 0
+    # and sd 1, so the file has exactly the printed n, mean and sd. Both t
+    # tests depend on nothing else, and standardizing does not change them.
+    # Levene's test depends on the raw values, which the paper does not give,
+    # so it cannot be reproduced and is not checked.
+    v = np.random.RandomState(2016).randn(10)
+    u = (v - v.mean()) / v.std(ddof=1)
+    names = list(GROUP_STATS)
+    columns = [np.concatenate([m1 + s1 * u, m2 + s2 * u])
+               for (_, m1, s1, _), (_, m2, s2, _) in GROUP_STATS.values()]
+    ids = [f"g1_{i}" for i in range(10)] + [f"g2_{i}" for i in range(10)]
+    table = write_table_csv(tmp_path / "table.csv", ids, names,
+                            np.column_stack(columns))
+    out = tmp_path / "out"
+    assert main(["compare", "--input", table, "--group1", ",".join(ids[:10]),
+                 "--group2", ",".join(ids[10:]), "--out-dir", str(out),
+                 "--format", "json"]) == 0
+    records = json.loads((out / "comparison.json").read_text())["variables"]
+    assert [record["name"] for record in records] == names
+
+    worst = 0.0
+    consistent = set()
+    for record, ((n1, m1, s1, _), (n2, m2, s2, _)) in zip(records,
+                                                         GROUP_STATS.values()):
+        va, vb = s1 * s1 / n1, s2 * s2 / n2
+        df = n1 + n2 - 2
+        pooled_se = math.sqrt(((n1 - 1) * s1 * s1 + (n2 - 1) * s2 * s2) / df
+                              * (1.0 / n1 + 1.0 / n2))
+        welch_df = (va + vb) ** 2 / (va * va / (n1 - 1) + vb * vb / (n2 - 1))
+        expected = {"pooled": ((m1 - m2) / pooled_se, df),
+                    "welch": ((m1 - m2) / math.sqrt(va + vb), welch_df)}
+        for variant, (t, df) in expected.items():
+            got = record[variant]
+            worst = max(worst, abs(got["t"] - t) / abs(t),
+                        abs(got["df"] - df) / df)
+        _, _, t_printed, _, p_printed, *_ = T_TABLE[record["name"]]
+        pooled = record["pooled"]
+        if (abs(pooled["t"] - t_printed) <= 0.001
+                and abs(pooled["p_two_tailed"] - p_printed) <= 0.001):
+            consistent.add(record["name"])
+    transit = "Population 1/4 mile to transit"
+    pooled = records[names.index(transit)]["pooled"]
+    criterion("A8 compare through the CLI gives the descriptives' pooled and "
+              "Welch t and df (rel 1e-9), and the printed t and p on the 13 "
+              "consistent rows (tol 0.001)",
+              worst <= 1e-9 and consistent == set(names) - {transit}
+              and (round(pooled["t"], 3), round(pooled["p_two_tailed"], 3))
+              == (1.942, 0.068),
+              f"worst relative error {worst:.1e}, {len(consistent)} rows print "
+              "their t and p")
 
 
 # ---------------------------------------------------------------------------

@@ -21,11 +21,11 @@ from factorindex.cli import build_parser, main
 from factorindex.config import PipelineConfig, config_from_dict
 from factorindex.dataset import load_csv, select_variables, standardize
 from factorindex.errors import ValidationError
-from factorindex.factors import build_factor_model, factor_scores
+from factorindex.factors import FactorScores, build_factor_model, factor_scores
 from factorindex.inference import compare_groups
 from factorindex.ranking import rank_by_factor, with_groups
 
-from conftest import make_table, write_table_csv
+from conftest import dataset_from, make_table, write_table_csv
 
 
 def write_identity_correlation_csv(tmp_path):
@@ -1252,6 +1252,48 @@ class TestConfigValidation:
         from factorindex.errors import ValidationError
         with pytest.raises(ValidationError, match="requires retention k"):
             config_from_dict({"input": "x.csv", "retention": {"rule": "fixed"}})
+
+    def test_unknown_override(self):
+        with pytest.raises(ValidationError) as exc:
+            config_from_dict({"input": "x.csv"}, {"bogus": 1})
+        assert str(exc.value) == "unknown config override 'bogus'"
+
+    # The library call that branches on a choice names its own argument.
+    @pytest.mark.parametrize("key, argument", [
+        ("missing_policy", "missing_policy"),
+        ("retention.rule", "retention rule"),
+        ("rotation.method", "rotation_method"),
+        ("ranking.direction", "direction"),
+        ("comparison.standardize_scope", "standardize_scope"),
+        ("comparison.levene_center", "levene_center"),
+    ])
+    def test_a_bad_choice_gets_one_message_from_library_and_config(self, key,
+                                                                   argument):
+        ds = dataset_from(*make_table(n=12, p=4, seed=7))
+        z = standardize(ds)
+        groups = (ds.case_ids[:3], ds.case_ids[3:6])
+        library = {
+            "missing_policy": lambda v: load_csv("x.csv", missing_policy=v),
+            "retention.rule": lambda v: build_factor_model(z, retention_rule=v),
+            "rotation.method": lambda v: build_factor_model(z, rotation_method=v),
+            "ranking.direction": lambda v: rank_by_factor(
+                FactorScores(z.case_ids, z.values), 1, direction=v),
+            "comparison.standardize_scope": lambda v: compare_groups(
+                ds, *groups, standardize_scope=v),
+            "comparison.levene_center": lambda v: compare_groups(
+                ds, *groups, levene_center=v),
+        }
+        section, _, leaf = key.rpartition(".")
+        document = {"input": "x.csv"}
+        (document.setdefault(section, {}) if section else document)[leaf] = "bogus"
+        with pytest.raises(ValidationError) as from_config:
+            config_from_dict(document)
+        with pytest.raises(ValidationError) as from_library:
+            library[key]("bogus")
+        message = str(from_config.value)
+        assert message.startswith(f"{key} must be one of '")
+        assert message.endswith(", got 'bogus'")
+        assert str(from_library.value) == argument + message[len(key):]
 
     def test_module_docstring_shows_the_defaults(self):
         doc = config_module.__doc__

@@ -53,6 +53,11 @@ class TestCorrelationMatrix:
         np.testing.assert_allclose(np.diag(r), 1.0)
         assert np.all(r >= -1.0) and np.all(r <= 1.0)
 
+    def test_fewer_than_three_cases(self):
+        with pytest.raises(ValidationError) as exc:
+            correlation_matrix(np.ones((2, 3)))
+        assert str(exc.value) == "need at least 3 cases to correlate, got 2"
+
 
 class TestExtractPca:
     def test_analytic_two_variable(self):
@@ -83,6 +88,17 @@ class TestExtractPca:
     def test_fixed_k_too_large(self):
         with pytest.raises(ValidationError, match="k=9"):
             extract_pca(np.eye(4), rule="fixed", k=9)
+
+    # The config's rule for a count: an integer, not a bool, and >= 1.
+    @pytest.mark.parametrize("k", [None, 0, 2.5, True, "2"])
+    def test_fixed_k_must_be_an_integer_of_at_least_one(self, k):
+        with pytest.raises(ValidationError) as exc:
+            extract_pca(np.eye(4), rule="fixed", k=k)
+        assert str(exc.value) == f"k must be an integer >= 1, got {k!r}"
+
+    def test_fixed_k_may_be_a_numpy_integer(self):
+        _, loadings, k = extract_pca(np.eye(4), rule="fixed", k=np.int64(2))
+        assert type(k) is int and k == 2 and loadings.shape == (4, 2)
 
     def test_unknown_rule(self):
         with pytest.raises(ValidationError, match="retention rule"):
@@ -217,6 +233,12 @@ class TestVarimax:
         with pytest.raises(ValidationError):
             varimax(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("max_iter", [0, 2.5, True])
+    def test_max_iter_must_be_an_integer_of_at_least_one(self, max_iter):
+        with pytest.raises(ValidationError) as exc:
+            varimax(np.ones((3, 2)), max_iter=max_iter)
+        assert str(exc.value) == f"max_iter must be an integer >= 1, got {max_iter!r}"
+
 
 class TestScoreCoefficients:
     def test_identity_correlation(self):
@@ -237,6 +259,11 @@ class TestScoreCoefficients:
         _, lam, _ = extract_pca(r, rule="fixed", k=4)
         w = score_coefficients(r, lam)
         assert np.max(np.abs(r @ w - lam)) < 1e-8
+
+    def test_loadings_rows_must_match(self):
+        with pytest.raises(ValidationError) as exc:
+            score_coefficients(np.eye(3), np.ones((2, 1)))
+        assert str(exc.value) == "loadings rows (2) must match correlation size (3)"
 
 
 class TestFactorScores:
@@ -277,6 +304,11 @@ class TestFactorScores:
         z = standardize(dataset_from(ids, names, values))
         with pytest.raises(ValidationError, match="match"):
             factor_scores(z, np.eye(3))
+
+    def test_rejects_a_plain_array(self):
+        with pytest.raises(ValidationError) as exc:
+            factor_scores(np.ones((3, 2)), np.eye(2))
+        assert str(exc.value) == "factor_scores expects a StandardizedMatrix"
 
 
 class TestBuildFactorModel:
@@ -362,6 +394,19 @@ class TestBuildFactorModel:
         z = standardize(dataset_from(["a", "b", "c"], ["x"], [[1], [2], [4]]))
         with pytest.raises(ValidationError, match="need at least 2 indicators, got 1"):
             build_factor_model(z)
+
+    @pytest.mark.parametrize("options, message", [
+        ({"retention_k": 2.5}, "k must be an integer >= 1, got 2.5"),
+        ({"retention_k": True}, "k must be an integer >= 1, got True"),
+        ({"retention_k": 2, "rotation_max_iter": 2.5},
+         "max_iter must be an integer >= 1, got 2.5"),
+    ])
+    def test_a_count_that_is_not_an_integer_is_rejected(self, options, message):
+        ids, names, values = make_table(n=40, p=8, seed=97)
+        z = standardize(dataset_from(ids, names, values))
+        with pytest.raises(ValidationError) as exc:
+            build_factor_model(z, retention_rule="fixed", **options)
+        assert str(exc.value) == message
 
     def test_planted_structure_recovery(self):
         gen, x = planted_structure(seed=2024)

@@ -34,9 +34,14 @@ class TestGroupDescriptives:
         d = group_descriptives(sample)
         assert abs(d.sem - d.sd / math.sqrt(17)) < 1e-12
 
-    def test_needs_two(self):
-        with pytest.raises(ValidationError):
-            group_descriptives([1.0])
+    @pytest.mark.parametrize("sample, message", [
+        ([1.0], "need at least 2 observations, got 1"),
+        ([1.0, math.nan], "sample contains non-finite values"),
+    ])
+    def test_needs_two_finite_values(self, sample, message):
+        with pytest.raises(ValidationError) as exc:
+            group_descriptives(sample)
+        assert str(exc.value) == message
 
 
 class TestLevene:
@@ -86,8 +91,9 @@ class TestLevene:
                                                  result.df2)) < 1e-10
 
     def test_bad_center(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError) as exc:
             levene_test([1.0, 2.0], [3.0, 4.0], center="mode")
+        assert str(exc.value) == "center must be one of 'mean', 'median', got 'mode'"
 
 
 class TestPooledT:
@@ -340,13 +346,15 @@ class TestCompareGroups:
         assert not report.variables[0].degenerate
 
     @pytest.mark.parametrize("option, value, message", [
-        ("ci_level", 7.0, r"confidence level must be in \(0, 1\), got 7.0"),
+        ("ci_level", 7.0, r"confidence level must be a number in \(0, 1\) with "
+         r"\(1 \+ level\) / 2 below 1, got 7.0"),
         ("ci_level", 1.0 - 2.0 ** -53,  # (1 + level) / 2 rounds to 1
-         r"confidence level must have \(1 \+ level\) / 2 below 1, got 0.9999999999999999"),
+         r"confidence level must be a number in \(0, 1\) with "
+         r"\(1 \+ level\) / 2 below 1, got 0.9999999999999999"),
         ("levene_center", "bogus",
-         "center must be 'mean' or 'median', got 'bogus'"),
+         "levene_center must be one of 'mean', 'median', got 'bogus'"),
         ("standardize_scope", "bogus",
-         "standardize_scope must be 'selected' or 'all', got 'bogus'"),
+         "standardize_scope must be one of 'selected', 'all', got 'bogus'"),
     ])
     def test_options_checked_when_every_variable_is_degenerate(self, option, value,
                                                                message):

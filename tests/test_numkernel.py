@@ -67,9 +67,15 @@ class TestSymEigen:
             assert not d.eigenvalues.flags.writeable
             assert not v.flags.writeable
 
-    def test_rejects_non_square(self):
-        with pytest.raises(ValidationError, match="square"):
-            sym_eigen(np.ones((2, 3)))
+    @pytest.mark.parametrize("a, message", [
+        (np.ones((2, 3)), "matrix must be square, got 2x3"),
+        (np.ones(3), "matrix must be 2-dimensional, got shape (3,)"),
+        (np.ones((0, 0)), "matrix must have at least one row and column"),
+    ])
+    def test_rejects_a_bad_shape(self, a, message):
+        with pytest.raises(ValidationError) as exc:
+            sym_eigen(a)
+        assert str(exc.value) == message
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValidationError, match="symmetric"):
@@ -157,6 +163,13 @@ class TestIncompleteBeta:
             reg_incomplete_beta(1.0, -2.0, 0.5)
         with pytest.raises(ValidationError):
             reg_incomplete_beta(1.0, 1.0, 1.5)
+
+    def test_a_continued_fraction_that_does_not_converge(self, monkeypatch):
+        monkeypatch.setattr(numkernel, "_BETA_CF_MAX_ITER", 1)
+        with pytest.raises(NumericalError) as exc:
+            reg_incomplete_beta(2.0, 3.0, 0.3)
+        assert str(exc.value) == ("incomplete beta continued fraction did not "
+                                  "converge in 1 iterations (a=2, b=3, x=0.3)")
 
 
 class TestStudentT:
@@ -249,6 +262,13 @@ class TestTQuantile:
             t_quantile(1.0, 5)
         with pytest.raises(ValidationError):
             t_quantile(0.9, -1)
+
+    def test_steps_that_do_not_converge(self, monkeypatch):
+        monkeypatch.setattr(numkernel, "_T_QUANTILE_MAX_STEPS", 1)
+        with pytest.raises(NumericalError) as exc:
+            t_quantile(0.975, 18)
+        assert str(exc.value) == ("t quantile did not converge in 1 steps "
+                                  "(prob=0.975, df=18.0)")
 
 
 class TestFTail:

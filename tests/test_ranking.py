@@ -71,6 +71,11 @@ class TestRankByFactor:
         with pytest.raises(ValidationError, match="selector"):
             rank_by_factor(scores, "factor_x")
 
+    def test_rejects_a_plain_array(self):
+        with pytest.raises(ValidationError) as exc:
+            rank_by_factor(np.ones((3, 1)), 1)
+        assert str(exc.value) == "rank_by_factor expects FactorScores"
+
     def test_scores_monotone_along_ranks(self):
         rng = np.random.RandomState(13)
         scores = FactorScores(tuple(f"c{i}" for i in range(30)),
