@@ -28,17 +28,15 @@ branches on it, and its default is that tuple's first entry.
 
 import argparse
 import json
-import math
-import numbers
-import sys
 from dataclasses import dataclass, field, fields
 from functools import partial
 
 from .dataset import MISSING_POLICIES
-from .errors import ValidationError, check_choice, check_integer, reject
+from .errors import (ValidationError, check_bool, check_choice, check_integer,
+                     check_real, reject)
 from .factors import (DEFAULT_MAX_SWEEPS, DEFAULT_ROTATION_TOL, RETENTION_RULES,
                       ROTATION_METHODS)
-from .inference import LEVENE_CENTERS, STANDARDIZE_SCOPES, valid_ci_level
+from .inference import LEVENE_CENTERS, STANDARDIZE_SCOPES, check_ci_level
 from .ranking import DIRECTIONS
 
 FORMATS = ("json", "csv", "text")
@@ -61,7 +59,8 @@ def _csv_list(text):
 
 
 def _flag(check, **flag_extras):
-    """``check``, carrying the argparse keywords of the value's flag."""
+    """A copy of ``check``, carrying the argparse keywords of the value's flag."""
+    check = partial(check)
     check.flag_extras = flag_extras
     return check
 
@@ -74,13 +73,12 @@ def _check(accepts, expected, **flag_extras):
     return _flag(check, **flag_extras)
 
 
-def _is_number(value):
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 _string = _check(lambda v: isinstance(v, str), "a string")
-_boolean = _check(lambda v: isinstance(v, bool), "true or false",
-                  action=argparse.BooleanOptionalAction)
+_boolean = _flag(check_bool, action=argparse.BooleanOptionalAction)
+_integer = _flag(partial(check_integer, low=1), type=int)
+_positive = _flag(partial(check_real, low=0.0), type=float)
+_probability = _flag(partial(check_real, low=0.0, high=1.0), type=float)
+_level = _flag(check_ci_level, type=float)
 
 
 def _path(key, value):
@@ -91,23 +89,6 @@ def _path(key, value):
 
 
 _path.flag_extras = _string.flag_extras
-
-
-def _integer(low):
-    return _flag(partial(check_integer, low=low), type=int)
-
-
-def _real(low, high=math.inf):
-    """A finite real in the open interval (low, high)."""
-    # The comparisons are False for NaN; the magnitude test catches the
-    # infinities and integers too large for a float.
-    return _check(lambda v: _is_number(v) and low < v < high
-                  and abs(v) <= sys.float_info.max,
-                  f"a finite number in ({low:g}, {high:g})", type=float)
-
-
-_level = _check(lambda v: _is_number(v) and valid_ci_level(v),
-                "a number in (0, 1) with (1 + level) / 2 below 1", type=float)
 
 
 def _choice(allowed):
@@ -149,21 +130,20 @@ class PipelineConfig:
                                help="comma-separated analysis variables (default: all)")
     retention_rule: str = _option("retention.rule", _choice(RETENTION_RULES),
                                   RETENTION_RULES[0], "--retention", "model")
-    retention_k: int = _option("retention.k", _integer(1), None, "--retention-k",
-                               "model")
+    retention_k: int = _option("retention.k", _integer, None, "--retention-k", "model")
     rotation_method: str = _option("rotation.method", _choice(ROTATION_METHODS),
                                    ROTATION_METHODS[0], "--rotation", "model")
     kaiser_normalization: bool = _option("rotation.kaiser_normalization", _boolean,
                                          True, "--kaiser-normalization", "model")
-    rotation_tol: float = _option("rotation.tol", _real(0.0), DEFAULT_ROTATION_TOL,
+    rotation_tol: float = _option("rotation.tol", _positive, DEFAULT_ROTATION_TOL,
                                   "--rotation-tol", "model")
-    rotation_max_iter: int = _option("rotation.max_iter", _integer(1),
+    rotation_max_iter: int = _option("rotation.max_iter", _integer,
                                      DEFAULT_MAX_SWEEPS, "--rotation-max-iter", "model")
-    ranking_factor: int = _option("ranking.factor", _integer(1), 1, "--factor",
+    ranking_factor: int = _option("ranking.factor", _integer, 1, "--factor",
                                   "ranking", help="1-based factor to rank on")
     ranking_direction: str = _option("ranking.direction", _choice(DIRECTIONS),
                                      DIRECTIONS[0], "--direction", "ranking")
-    ranking_k: int = _option("ranking.k", _integer(1), 10, "--k", "ranking",
+    ranking_k: int = _option("ranking.k", _integer, 10, "--k", "ranking",
                              help="group size for the top/bottom split")
     compare_variables: tuple = _option(
         "comparison.variables", _strings(), None, "--compare-variables", "comparison",
@@ -174,9 +154,9 @@ class PipelineConfig:
     compare_group2: tuple = _option(
         "comparison.group2", _strings(), None, "--group2", "groups",
         help="comma-separated case ids of group 2")
-    alpha: float = _option("comparison.alpha", _real(0.0, 1.0), 0.05, "--alpha",
+    alpha: float = _option("comparison.alpha", _probability, 0.05, "--alpha",
                            "comparison")
-    alpha_levene: float = _option("comparison.alpha_levene", _real(0.0, 1.0), 0.05,
+    alpha_levene: float = _option("comparison.alpha_levene", _probability, 0.05,
                                   "--alpha-levene", "comparison")
     ci_level: float = _option("comparison.ci_level", _level, 0.95,
                               "--ci-level", "comparison")

@@ -7,7 +7,9 @@ them to exit codes 2 and 3 respectively. A bad argument or config value
 is reported in one shape, ``"{name} must be {expected}, got {value!r}"``.
 """
 
+import math
 import numbers
+import sys
 
 
 class ValidationError(ValueError):
@@ -56,4 +58,21 @@ def check_integer(name, value, low):
     if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
             and value >= low):
         reject(name, f"an integer >= {low}", value)
+    return value
+
+
+def check_real(name, value, low, high=math.inf):
+    """Return ``value`` if it is a finite real (not a bool) in (``low``, ``high``)."""
+    # The comparisons are False for NaN; the magnitude test catches the
+    # infinities and integers too large for a float.
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and low < value < high and abs(value) <= sys.float_info.max):
+        reject(name, f"a finite number in ({low:g}, {high:g})", value)
+    return value
+
+
+def check_bool(name, value):
+    """Return ``value`` if it is ``True`` or ``False``."""
+    if not isinstance(value, bool):
+        reject(name, "true or false", value)
     return value

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import StandardizedMatrix
-from .errors import (NumericalError, ValidationError, check_choice, check_integer,
-                     with_stage)
+from .errors import (NumericalError, ValidationError, check_bool, check_choice,
+                     check_integer, check_real, with_stage)
 from .numkernel import (_SPD_MIN_EIGENVALUE, as_matrix, canonical_signs,
                         invert_spd, sym_eigen)
 
@@ -191,6 +191,8 @@ def varimax(loadings, kaiser_normalize=True, tol=DEFAULT_ROTATION_TOL,
     p, k = a.shape
     if p < k:
         raise ValidationError(f"need at least as many variables as factors ({p} < {k})")
+    check_bool("kaiser_normalize", kaiser_normalize)
+    check_real("tol", tol, 0.0)
     check_integer("max_iter", max_iter, 1)
 
     rotation = np.eye(k)

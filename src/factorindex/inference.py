@@ -7,12 +7,14 @@ reported one chosen by Levene's test.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import dataset as ds_mod
-from .errors import DegenerateDataError, ValidationError, check_choice, reject
+from .errors import (DegenerateDataError, ValidationError, check_choice, check_real,
+                     reject)
 from .numkernel import f_tail_p, t_quantile, t_two_tailed_p
 
 _ZERO_SS = 1e-300
@@ -82,10 +84,10 @@ class GroupComparisonReport:
     levene_center: str
 
 
-def _as_sample(values, minimum=2):
+def _as_sample(values):
     arr = np.asarray(values, dtype=float).ravel()
-    if arr.size < minimum:
-        raise ValidationError(f"need at least {minimum} observations, got {arr.size}")
+    if arr.size < 2:
+        raise ValidationError(f"need at least 2 observations, got {arr.size}")
     if not np.all(np.isfinite(arr)):
         raise ValidationError("sample contains non-finite values")
     return arr
@@ -99,22 +101,14 @@ def group_descriptives(values):
     return GroupDescriptives(n=n, mean=float(arr.mean()), sd=sd, sem=sd / math.sqrt(n))
 
 
-def _check_probability(label, value):
-    if not 0.0 < value < 1.0:
-        reject(label, "in (0, 1)", value)
-
-
-def valid_ci_level(level):
-    """Whether ``level`` can be a confidence level: it lies in (0, 1), and the
-    interval's t quantile, taken at (1 + level) / 2, is below 1. That
-    probability rounds to 1 at the float just below 1."""
-    return 0.0 < level < 1.0 and (1.0 + level) / 2.0 < 1.0
-
-
-def _check_level(level):
-    if not valid_ci_level(level):
-        reject("confidence level", "a number in (0, 1) with (1 + level) / 2 below 1",
-               level)
+def check_ci_level(name, level):
+    """Return ``level`` if it can be a confidence level: a real (not a bool) in
+    (0, 1) whose interval's t quantile, taken at (1 + level) / 2, is below 1.
+    That probability rounds to 1 at the float just below 1."""
+    if not (isinstance(level, numbers.Real) and not isinstance(level, bool)
+            and 0.0 < level < 1.0 and (1.0 + level) / 2.0 < 1.0):
+        reject(name, "a number in (0, 1) with (1 + level) / 2 below 1", level)
+    return level
 
 
 def levene_test(g1, g2, center=LEVENE_CENTERS[0]):
@@ -174,7 +168,7 @@ def t_tests(g1, g2, level=0.95):
     Satterthwaite's degrees of freedom. When both groups are constant,
     both variants report ``n1 + n2 - 2`` degrees of freedom.
     """
-    _check_level(level)
+    check_ci_level("level", level)
     a = _as_sample(g1)
     b = _as_sample(g2)
     n1, n2 = a.size, b.size
@@ -211,9 +205,9 @@ def compare_groups(ds, group1_ids, group2_ids, variables=None, alpha=0.05,
     group's rows are read in id-list order, whatever the row order of ``ds``.
     """
     check_choice("standardize_scope", standardize_scope, STANDARDIZE_SCOPES)
-    _check_probability("alpha", alpha)
-    _check_probability("alpha_levene", alpha_levene)
-    _check_level(ci_level)
+    check_real("alpha", alpha, 0.0, 1.0)
+    check_real("alpha_levene", alpha_levene, 0.0, 1.0)
+    check_ci_level("ci_level", ci_level)
     check_choice("levene_center", levene_center, LEVENE_CENTERS)
     group1_ids = tuple(group1_ids)
     group2_ids = tuple(group2_ids)

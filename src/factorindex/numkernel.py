@@ -24,13 +24,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, reject
 
 # Continued fraction controls for the incomplete beta.
 _BETA_CF_TOL = 1e-14
 _BETA_CF_MAX_ITER = 300
 
 _SPD_MIN_EIGENVALUE = 1e-12
+# A df or shape parameter, tested inline (0 < df < inf is False for NaN) for speed.
+_POSITIVE = "a finite number in (0, inf)"
 
 
 def as_matrix(a, name="matrix"):
@@ -159,8 +161,10 @@ def reg_incomplete_beta(a, b, x):
     x > (a + 1) / (a + b + 2), so that I_x(a, b) = 1 - I_{1-x}(b, a) holds
     to machine precision.
     """
-    if not (a > 0.0 and b > 0.0):
-        raise ValidationError(f"shape parameters must be positive, got a={a!r}, b={b!r}")
+    if not 0.0 < a < math.inf:
+        reject("a", _POSITIVE, a)
+    if not 0.0 < b < math.inf:
+        reject("b", _POSITIVE, b)
     if not 0.0 <= x <= 1.0:
         raise ValidationError(f"x must lie in [0, 1], got {x!r}")
     if x == 0.0:
@@ -182,8 +186,8 @@ def reg_incomplete_beta(a, b, x):
 
 def t_two_tailed_p(t, df):
     """Two-tailed Student-t p-value: the F tail of t^2 on 1 and ``df`` degrees of freedom."""
-    if not df > 0.0:
-        raise ValidationError(f"degrees of freedom must be positive, got {df!r}")
+    if not 0.0 < df < math.inf:
+        reject("df", _POSITIVE, df)
     t = float(t)
     return f_tail_p(t * t, 1, df)
 
@@ -211,8 +215,8 @@ def t_quantile(prob, df):
     The lower half is the exact mirror, t_quantile(prob, df) ==
     -t_quantile(1 - prob, df), so it inherits the rounding of 1 - prob.
     """
-    if not df > 0.0:
-        raise ValidationError(f"degrees of freedom must be positive, got {df!r}")
+    if not 0.0 < df < math.inf:
+        reject("df", _POSITIVE, df)
     if not 0.0 < prob < 1.0:
         raise ValidationError(f"probability must lie strictly in (0, 1), got {prob!r}")
     if prob < 0.5:
@@ -265,10 +269,10 @@ def t_quantile(prob, df):
 
 def f_tail_p(f, df1, df2):
     """Upper-tail probability P(F >= f) for the F distribution."""
-    if not (df1 > 0.0 and df2 > 0.0):
-        raise ValidationError(
-            f"degrees of freedom must be positive, got df1={df1!r}, df2={df2!r}"
-        )
+    if not 0.0 < df1 < math.inf:
+        reject("df1", _POSITIVE, df1)
+    if not 0.0 < df2 < math.inf:
+        reject("df2", _POSITIVE, df2)
     f = float(f)
     if f < 0.0:
         raise ValidationError(f"F statistic must be non-negative, got {f!r}")

@@ -4,7 +4,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ValidationError, check_choice
+from .errors import ValidationError, check_choice, check_integer
 from .factors import FactorScores
 
 DIRECTIONS = ("ascending", "descending")  # the first is the default
@@ -39,17 +39,6 @@ class RankedIndex:
         return len(self.case_ids)
 
 
-def _resolve_factor(selector, n_factors):
-    """Check a 1-based integer factor selector against the retained count."""
-    if not isinstance(selector, int) or isinstance(selector, bool):
-        raise ValidationError(f"cannot parse factor selector {selector!r}")
-    if not 1 <= selector <= n_factors:
-        raise ValidationError(
-            f"factor selector {selector!r} out of range: model retains {n_factors}"
-        )
-    return selector
-
-
 def rank_by_factor(scores, factor, direction=DIRECTIONS[0]):
     """Rank all cases on one score column.
 
@@ -60,7 +49,11 @@ def rank_by_factor(scores, factor, direction=DIRECTIONS[0]):
     if not isinstance(scores, FactorScores):
         raise ValidationError("rank_by_factor expects FactorScores")
     check_choice("direction", direction, DIRECTIONS)
-    idx = _resolve_factor(factor, scores.scores.shape[1])
+    idx = int(check_integer("factor", factor, 1))
+    n_factors = scores.scores.shape[1]
+    if idx > n_factors:
+        raise ValidationError(
+            f"factor selector {idx!r} out of range: model retains {n_factors}")
     column = scores.scores[:, idx - 1]
     ids = scores.case_ids
     # Ties break on the id as Python orders str; numpy's str arrays would
@@ -75,18 +68,21 @@ def rank_by_factor(scores, factor, direction=DIRECTIONS[0]):
 
 
 def check_group_size(k, n):
-    """Require 1 <= k <= floor(n/2), so the end groups of n cases cannot overlap."""
+    """Return ``k`` as an int if 1 <= k <= floor(n/2), so that the end groups of
+    n cases cannot overlap."""
+    k = int(check_integer("k", k, 1))
     bound = n // 2
-    if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= bound:
+    if k > bound:
         raise ValidationError(
             f"group size k={k!r} out of range: need 1 <= k <= floor(n/2) = {bound} "
             f"(n = {n})"
         )
+    return k
 
 
 def with_groups(ranked, k=10):
     """A copy of ``ranked`` with its first-k and last-k cases as the groups."""
     n = ranked.n_cases
-    check_group_size(k, n)
+    k = check_group_size(k, n)
     return replace(ranked, group_size=k, group1_ids=ranked.case_ids[:k],
                    group2_ids=ranked.case_ids[n - k:])

@@ -81,14 +81,20 @@ def loadings_csv(model):
     return _csv_text(rows)
 
 
-def eigenvalues_csv(model):
+def _eigenvalue_rows(model):
+    """Per component: its number, eigenvalue, share of p and cumulative share."""
     p = len(model.eigenvalues)
-    rows = [["component", "eigenvalue", "proportion", "cumulative"]]
     cumulative = 0.0
     for i, value in enumerate(model.eigenvalues, start=1):
         share = float(value) / p
         cumulative += share
-        rows.append([str(i), _num(value), _num(share), _num(cumulative)])
+        yield i, value, share, cumulative
+
+
+def eigenvalues_csv(model):
+    rows = [["component", "eigenvalue", "proportion", "cumulative"]]
+    rows += ([str(i), _num(value), _num(share), _num(cumulative)]
+             for i, value, share, cumulative in _eigenvalue_rows(model))
     return _csv_text(rows)
 
 
@@ -123,11 +129,8 @@ def factor_model_text(model):
     lines.append("")
     lines.append("Eigenvalues")
     lines.append("component  eigenvalue  proportion  cumulative")
-    cumulative = 0.0
-    for i, value in enumerate(model.eigenvalues, start=1):
-        share = float(value) / p
-        cumulative += share
-        lines.append(f"{i:>9d}  {value:>10.3f}  {share:>10.3f}  {cumulative:>10.3f}")
+    lines += (f"{i:>9d}  {value:>10.3f}  {share:>10.3f}  {cumulative:>10.3f}"
+              for i, value, share, cumulative in _eigenvalue_rows(model))
     lines.append("")
     title = "Rotated loadings" if model.rotation_method != "none" else "Loadings"
     lines.append(f"{title} (communality in last column)")

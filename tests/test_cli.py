@@ -3,6 +3,7 @@ import csv
 import errno
 import io
 import json
+import math
 import os
 import random
 import re
@@ -21,7 +22,8 @@ from factorindex.cli import build_parser, main
 from factorindex.config import PipelineConfig, config_from_dict
 from factorindex.dataset import load_csv, select_variables, standardize
 from factorindex.errors import ValidationError
-from factorindex.factors import FactorScores, build_factor_model, factor_scores
+from factorindex.factors import (FactorScores, build_factor_model, factor_scores,
+                                 varimax)
 from factorindex.inference import compare_groups
 from factorindex.ranking import rank_by_factor, with_groups
 
@@ -1294,6 +1296,55 @@ class TestConfigValidation:
         assert message.startswith(f"{key} must be one of '")
         assert message.endswith(", got 'bogus'")
         assert str(from_library.value) == argument + message[len(key):]
+
+    # A numeric or boolean option and its library argument share one check.
+    # A null in a config document means the default, so None goes only to
+    # the library call.
+    @pytest.mark.parametrize("key, argument, expected, value", [
+        (key, argument, expected, value)
+        for key, argument, expected, bad in [
+            ("comparison.alpha", "alpha", "a finite number in (0, 1)",
+             ("0.1", None, math.nan, math.inf, True, 2.5)),
+            ("comparison.alpha_levene", "alpha_levene", "a finite number in (0, 1)",
+             ("0.1", None, math.nan, math.inf, True, 2.5)),
+            ("comparison.ci_level", "ci_level",
+             "a number in (0, 1) with (1 + level) / 2 below 1",
+             ("0.1", None, math.nan, math.inf, True, 2.5)),
+            ("rotation.tol", "tol", "a finite number in (0, inf)",
+             ("0.1", None, math.nan, math.inf, True)),
+            ("rotation.kaiser_normalization", "kaiser_normalize", "true or false",
+             ("0.1", None, math.nan, math.inf, 2.5)),
+            ("ranking.factor", "factor", "an integer >= 1",
+             ("0.1", None, math.nan, math.inf, True, 2.5)),
+            ("ranking.k", "k", "an integer >= 1",
+             ("0.1", None, math.nan, math.inf, True, 2.5)),
+        ]
+        for value in bad
+    ])
+    def test_a_bad_number_gets_one_message_from_library_and_config(
+            self, key, argument, expected, value):
+        ds = dataset_from(*make_table(n=12, p=4, seed=7))
+        scores = FactorScores(ds.case_ids, standardize(ds).values)
+        groups = (ds.case_ids[:3], ds.case_ids[3:6])
+        library = {
+            "comparison.alpha": lambda v: compare_groups(ds, *groups, alpha=v),
+            "comparison.alpha_levene": lambda v: compare_groups(
+                ds, *groups, alpha_levene=v),
+            "comparison.ci_level": lambda v: compare_groups(ds, *groups, ci_level=v),
+            "rotation.tol": lambda v: varimax(scores.scores[:, :2], tol=v),
+            "rotation.kaiser_normalization": lambda v: varimax(
+                scores.scores[:, :2], kaiser_normalize=v),
+            "ranking.factor": lambda v: rank_by_factor(scores, v),
+            "ranking.k": lambda v: with_groups(rank_by_factor(scores, 1), v),
+        }
+        with pytest.raises(ValidationError) as from_library:
+            library[key](value)
+        assert str(from_library.value) == f"{argument} must be {expected}, got {value!r}"
+        if value is not None:
+            section, leaf = key.split(".")
+            with pytest.raises(ValidationError) as from_config:
+                config_from_dict({"input": "x.csv", section: {leaf: value}})
+            assert str(from_config.value) == f"{key} must be {expected}, got {value!r}"
 
     def test_module_docstring_shows_the_defaults(self):
         doc = config_module.__doc__

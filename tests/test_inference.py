@@ -129,6 +129,13 @@ class TestPooledT:
                                                    abs=1e-9)
             assert result.ci_low <= result.mean_difference <= result.ci_high
 
+    @pytest.mark.parametrize("level", ["0.9", None, True, 1.0])
+    def test_a_bad_level_is_rejected(self, level):
+        with pytest.raises(ValidationError) as exc:
+            t_tests([1.0, 2.0, 3.0], [3.0, 4.0, 5.0], level=level)
+        assert str(exc.value) == ("level must be a number in (0, 1) with "
+                                  f"(1 + level) / 2 below 1, got {level!r}")
+
     @pytest.mark.parametrize("variant", [0, 1], ids=["pooled", "welch"])
     def test_degenerate_zero_variance_equal_means(self, variant):
         result = t_tests([4.0, 4.0, 4.0], [4.0, 4.0])[variant]
@@ -346,10 +353,10 @@ class TestCompareGroups:
         assert not report.variables[0].degenerate
 
     @pytest.mark.parametrize("option, value, message", [
-        ("ci_level", 7.0, r"confidence level must be a number in \(0, 1\) with "
+        ("ci_level", 7.0, r"ci_level must be a number in \(0, 1\) with "
          r"\(1 \+ level\) / 2 below 1, got 7.0"),
         ("ci_level", 1.0 - 2.0 ** -53,  # (1 + level) / 2 rounds to 1
-         r"confidence level must be a number in \(0, 1\) with "
+         r"ci_level must be a number in \(0, 1\) with "
          r"\(1 \+ level\) / 2 below 1, got 0.9999999999999999"),
         ("levene_center", "bogus",
          "levene_center must be one of 'mean', 'median', got 'bogus'"),

@@ -330,3 +330,21 @@ class TestFTail:
             f_tail_p(math.nan, 1, 18)
         with pytest.raises(ValidationError):
             t_two_tailed_p(math.nan, 18)
+
+
+# The tails at an infinite df returned 1.0 and the quantile ran 200 steps
+# into a NumericalError; a df or shape parameter must be finite.
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+@pytest.mark.parametrize("name, call", [
+    ("df", lambda v: t_two_tailed_p(2.0, v)),
+    ("df", lambda v: t_quantile(0.975, v)),
+    ("df1", lambda v: f_tail_p(2.0, v, 18)),
+    ("df2", lambda v: f_tail_p(2.0, 1, v)),
+    ("a", lambda v: reg_incomplete_beta(v, 1.0, 0.5)),
+    ("b", lambda v: reg_incomplete_beta(1.0, v, 0.5)),
+], ids=["t_two_tailed_p", "t_quantile", "f_tail_p-df1", "f_tail_p-df2",
+        "reg_incomplete_beta-a", "reg_incomplete_beta-b"])
+def test_a_non_finite_df_or_shape_parameter_is_rejected(name, call, value):
+    with pytest.raises(ValidationError) as exc:
+        call(value)
+    assert str(exc.value) == f"{name} must be a finite number in (0, inf), got {value!r}"

@@ -61,15 +61,21 @@ class TestRankByFactor:
                               np.array([[0.0, 1.0], [1.0, 0.0], [2.0, -1.0]]))
         by_int = rank_by_factor(scores, 2)
         assert by_int.case_ids == ("c", "b", "a")
-        with pytest.raises(ValidationError, match="cannot parse"):
+        by_numpy = rank_by_factor(scores, np.int64(2))
+        assert type(by_numpy.factor) is int and by_numpy.factor == 2
+        assert by_numpy.case_ids == by_int.case_ids
+        np.testing.assert_array_equal(by_numpy.scores, by_int.scores)
+        with pytest.raises(ValidationError) as exc:
             rank_by_factor(scores, "2")
+        assert str(exc.value) == "factor must be an integer >= 1, got '2'"
 
     def test_unknown_selector(self):
         scores = scores_of({"a": 1.0, "b": 2.0, "c": 0.0})
         with pytest.raises(ValidationError, match="out of range"):
             rank_by_factor(scores, 4)
-        with pytest.raises(ValidationError, match="selector"):
+        with pytest.raises(ValidationError) as exc:
             rank_by_factor(scores, "factor_x")
+        assert str(exc.value) == "factor must be an integer >= 1, got 'factor_x'"
 
     def test_rejects_a_plain_array(self):
         with pytest.raises(ValidationError) as exc:
@@ -118,6 +124,14 @@ class TestSelectGroups:
         assert ranked.group_size == 2
         assert ranked.group1_ids == ("a", "b")
         assert ranked.group2_ids == ("c", "d")
+
+    def test_a_numpy_integer_k(self):
+        ranked = rank_by_factor(scores_of({"a": 1.0, "b": 2.0}), 1)
+        by_numpy = with_groups(ranked, np.int64(1))
+        assert type(by_numpy.group_size) is int
+        by_int = with_groups(ranked, 1)
+        assert (by_numpy.group_size, by_numpy.group1_ids, by_numpy.group2_ids) == (
+            by_int.group_size, by_int.group1_ids, by_int.group2_ids)
 
 
 class TestRankOrderMatchesPythonSort:
