@@ -119,22 +119,23 @@ def load_csv(path, id_column=None, missing_policy=MISSING_POLICIES[0]):
     cannot, with one ``float()`` rule; the values, ids, dropped ids and
     errors do not depend on the block size.
 
-    A regular file of at least ``_SPLIT_BYTES`` bytes, with no ``"`` before
-    the first newline after its middle, is parsed on two cores when more
-    than one CPU is available and the platform has ``os.pread``. The file is
-    opened once, and not split if it changed since its ``os.stat``. One
-    short-lived child of ``sys.executable`` (``-I -S``, standard library
-    only) runs ``_rows.parse_rows`` on the bytes after that newline, read
-    from this open file as its stdin, while this process runs it on the
-    bytes before it, read by position. If either half holds an error, or the
-    child fails in any way, both halves are dropped and the file is parsed
-    here from its first byte, so every error has one source; no child
-    outlives the call.
+    The input is opened once, in binary, and every byte is read from that
+    open file, so a file replaced at its path mid-load is read as opened. A
+    regular file of at least ``_SPLIT_BYTES`` bytes with no ``"`` before the
+    first newline after its middle is parsed on two cores when more than
+    one CPU is available and the platform has ``os.pread``: one short-lived
+    child of ``sys.executable`` (``-I -S``, standard library only) parses
+    the bytes after that newline, read from the open file as its stdin,
+    while this process parses those before it, read by position. If either
+    half holds an error, or the child fails in any way, the same open file
+    is parsed here from its first byte, so every error has one source; no
+    child outlives the call.
     """
     check_choice("missing_policy", missing_policy, MISSING_POLICIES)
-    loaded = _load_split(path, id_column, missing_policy)
-    if loaded is None:
-        loaded = _load_serial(path, id_column, missing_policy)
+    with open(path, "rb", buffering=0) as raw:
+        loaded = _load_split(raw, path, id_column, missing_policy)
+        if loaded is None:
+            loaded = _load_serial(raw, path, id_column, missing_policy)
     indicator_names, case_ids, parsed, dropped = loaded
     if len(case_ids) < _MIN_CASES:
         raise ValidationError(
@@ -151,11 +152,14 @@ def _block_rows(width):
     return max(1, _CHUNK_CELLS // width)
 
 
-def _load_serial(path, id_column, missing_policy):
-    """``(indicator names, case ids, values, dropped ids)`` of the file, read
-    in one pass in this process; the values are an ``array('d')``, row after
-    row."""
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+def _load_serial(raw, path, id_column, missing_policy):
+    """``(indicator names, case ids, values, dropped ids)`` of the binary file
+    ``raw``, read from its first byte in one pass in this process; the values
+    are an ``array('d')``, row after row."""
+    if raw.seekable():  # a split that was tried has moved the offset
+        raw.seek(0)
+    with io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8-sig",
+                          newline="") as fh:
         reader = csv.reader(fh)
         try:
             width, id_index, names = _rows.header(reader, path, id_column)
@@ -177,33 +181,24 @@ def _cpus():
     return os.cpu_count() or 1
 
 
-def _load_split(path, id_column, missing_policy):
+def _load_split(raw, path, id_column, missing_policy):
     """What :func:`_load_serial` returns, parsed in two halves on two cores,
-    or None when the file is not split or either half fails."""
+    or None when the binary file ``raw`` is not split or either half fails."""
     if (_cpus() < 2 or not hasattr(os, "pread") or not sys.executable
             or getattr(sys, "frozen", False)):
         return None
     try:
-        st = os.stat(path)
-    except (OSError, TypeError, ValueError):
-        return None  # the serial open reports it
-    # A FIFO is never opened here: a second open would miss its bytes.
-    if not stat.S_ISREG(st.st_mode) or st.st_size < _SPLIT_BYTES:
-        return None
-    try:
-        with open(path, "rb", buffering=0) as raw:
-            opened = os.fstat(raw.fileno())
-            if not (os.path.samestat(st, opened) and st.st_size == opened.st_size
-                    and st.st_mtime_ns == opened.st_mtime_ns):
-                return None  # changed since it was measured
-            split = _split_offset(raw, st.st_size)
-            if split is None:
-                return None
-            raw.seek(split)  # where the worker, reading raw as stdin, starts
-            with io.TextIOWrapper(io.BufferedReader(_Head(raw.fileno(), split)),
-                                  encoding="utf-8-sig", newline="") as head:
-                return _parse_halves(csv.reader(head), raw, path, id_column,
-                                     missing_policy)
+        st = os.fstat(raw.fileno())
+        if not stat.S_ISREG(st.st_mode) or st.st_size < _SPLIT_BYTES:
+            return None
+        split = _split_offset(raw, st.st_size)
+        if split is None:
+            return None
+        raw.seek(split)  # where the worker, reading raw as stdin, starts
+        with io.TextIOWrapper(io.BufferedReader(_Head(raw.fileno(), split)),
+                              encoding="utf-8-sig", newline="") as head:
+            return _parse_halves(csv.reader(head), raw, path, id_column,
+                                 missing_policy)
     except (ValueError, csv.Error, OSError):
         return None  # the serial parse reports what went wrong
 

@@ -19,6 +19,7 @@ All functions are pure and deterministic: no randomness, no hidden state.
 """
 
 import math
+import numbers
 import statistics
 from dataclasses import dataclass
 
@@ -31,8 +32,9 @@ _BETA_CF_TOL = 1e-14
 _BETA_CF_MAX_ITER = 300
 
 _SPD_MIN_EIGENVALUE = 1e-12
-# A df or shape parameter, tested inline (0 < df < inf is False for NaN) for speed.
-_POSITIVE = "a finite number in (0, inf)"
+# An argument is checked inline, for speed; the concrete types come first.
+_REAL = (float, int, numbers.Real)
+_POSITIVE = "a finite number in (0, inf)"  # a df or shape parameter
 
 
 def as_matrix(a, name="matrix"):
@@ -161,12 +163,12 @@ def reg_incomplete_beta(a, b, x):
     x > (a + 1) / (a + b + 2), so that I_x(a, b) = 1 - I_{1-x}(b, a) holds
     to machine precision.
     """
-    if not 0.0 < a < math.inf:
+    if not (isinstance(a, _REAL) and type(a) is not bool and 0.0 < a < math.inf):
         reject("a", _POSITIVE, a)
-    if not 0.0 < b < math.inf:
+    if not (isinstance(b, _REAL) and type(b) is not bool and 0.0 < b < math.inf):
         reject("b", _POSITIVE, b)
-    if not 0.0 <= x <= 1.0:
-        raise ValidationError(f"x must lie in [0, 1], got {x!r}")
+    if not (isinstance(x, _REAL) and type(x) is not bool and 0.0 <= x <= 1.0):
+        reject("x", "a number in [0, 1]", x)
     if x == 0.0:
         return 0.0
     if x == 1.0:
@@ -186,8 +188,10 @@ def reg_incomplete_beta(a, b, x):
 
 def t_two_tailed_p(t, df):
     """Two-tailed Student-t p-value: the F tail of t^2 on 1 and ``df`` degrees of freedom."""
-    if not 0.0 < df < math.inf:
+    if not (isinstance(df, _REAL) and type(df) is not bool and 0.0 < df < math.inf):
         reject("df", _POSITIVE, df)
+    if not (isinstance(t, _REAL) and type(t) is not bool and -math.inf <= t <= math.inf):
+        reject("t", "a number in [-inf, inf]", t)
     t = float(t)
     return f_tail_p(t * t, 1, df)
 
@@ -215,10 +219,10 @@ def t_quantile(prob, df):
     The lower half is the exact mirror, t_quantile(prob, df) ==
     -t_quantile(1 - prob, df), so it inherits the rounding of 1 - prob.
     """
-    if not 0.0 < df < math.inf:
+    if not (isinstance(df, _REAL) and type(df) is not bool and 0.0 < df < math.inf):
         reject("df", _POSITIVE, df)
-    if not 0.0 < prob < 1.0:
-        raise ValidationError(f"probability must lie strictly in (0, 1), got {prob!r}")
+    if not (isinstance(prob, _REAL) and type(prob) is not bool and 0.0 < prob < 1.0):
+        reject("prob", "a number in (0, 1)", prob)
     if prob < 0.5:
         return -t_quantile(1.0 - prob, df)
     df = float(df)
@@ -269,15 +273,13 @@ def t_quantile(prob, df):
 
 def f_tail_p(f, df1, df2):
     """Upper-tail probability P(F >= f) for the F distribution."""
-    if not 0.0 < df1 < math.inf:
+    if not (isinstance(df1, _REAL) and type(df1) is not bool and 0.0 < df1 < math.inf):
         reject("df1", _POSITIVE, df1)
-    if not 0.0 < df2 < math.inf:
+    if not (isinstance(df2, _REAL) and type(df2) is not bool and 0.0 < df2 < math.inf):
         reject("df2", _POSITIVE, df2)
+    if not (isinstance(f, _REAL) and type(f) is not bool and 0.0 <= f <= math.inf):
+        reject("f", "a number in [0, inf]", f)
     f = float(f)
-    if f < 0.0:
-        raise ValidationError(f"F statistic must be non-negative, got {f!r}")
-    if f == 0.0:
-        return 1.0
     scaled = df1 * f
     a, b = df2 / 2.0, df1 / 2.0
     x = df2 / (df2 + scaled)

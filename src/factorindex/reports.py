@@ -73,12 +73,17 @@ def _factor_headers(k):
 # factor model
 
 
-def loadings_csv(model):
-    """Rotated loadings, variables as rows and factors as columns."""
+def _by_variable_csv(model, matrix):
+    """``matrix`` of the model, variables as rows and factors as columns."""
     rows = [["variable"] + _factor_headers(model.retained)]
-    for name, row in zip(model.indicator_names, model.loadings_rotated):
+    for name, row in zip(model.indicator_names, matrix):
         rows.append([name] + [_num(v) for v in row])
     return _csv_text(rows)
+
+
+def loadings_csv(model):
+    """Rotated loadings, variables as rows and factors as columns."""
+    return _by_variable_csv(model, model.loadings_rotated)
 
 
 def _eigenvalue_rows(model):
@@ -106,10 +111,7 @@ def communalities_csv(model):
 
 
 def score_coefficients_csv(model):
-    rows = [["variable"] + _factor_headers(model.retained)]
-    for name, row in zip(model.indicator_names, model.score_coefficients):
-        rows.append([name] + [_num(v) for v in row])
-    return _csv_text(rows)
+    return _by_variable_csv(model, model.score_coefficients)
 
 
 def factor_model_text(model):

@@ -239,8 +239,17 @@ class TestAnalyze:
         assert "input" in capsys.readouterr().err
 
     def test_nonexistent_file_exits_2(self, tmp_path, capsys):
-        rc = main(["analyze", "--input", str(tmp_path / "nope.csv")])
+        path = str(tmp_path / "nope.csv")
+        rc = main(["analyze", "--input", path])
         assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: {path!r}\n")
+
+    def test_a_directory_as_input_exits_2(self, tmp_path, capsys):
+        rc = main(["analyze", "--input", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n")
 
 
 class TestSubcommands:

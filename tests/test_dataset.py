@@ -1,3 +1,4 @@
+import builtins
 import csv
 import gc
 import os
@@ -6,7 +7,6 @@ import sys
 import threading
 import time
 import tracemalloc
-import types
 import warnings
 
 import numpy as np
@@ -289,11 +289,38 @@ def no_workers(monkeypatch):
     monkeypatch.setattr(subprocess, "Popen", refuse)
 
 
+# A worker whose output ends inside its values.
+CUT_SHORT = ("import marshal, sys\n"
+             "sys.stdout.buffer.write(marshal.dumps((['Z'], [], 2)) + bytes(8))")
+
+
 def fake_worker(tmp_path, monkeypatch, source):
     """Run the Python ``source`` in place of the tail worker."""
     script = tmp_path / "worker.py"
     script.write_text(source, encoding="utf-8")
     monkeypatch.setattr(_rows, "__file__", str(script))
+
+
+def replaced_at_the_split(tmp_path, monkeypatch):
+    """A file of rows r0, r1, ... that is replaced at its path by one of rows
+    s0, s1, ... once load_csv has found where to split it, and the outcome of
+    loading it before that."""
+    path = tmp_path / "data.csv"
+    rows = "".join(f"r{i},{i}.5,{-i}.25\n" for i in range(40))
+    path.write_text("id,a,b\n" + rows, encoding="ascii")
+    serial = outcome(path, "listwise")
+    assert serial[0][:2] == ("r0", "r1")
+    split_offset = dataset._split_offset
+
+    def replacing(raw, size):
+        split = split_offset(raw, size)
+        replacement = tmp_path / "replacement.csv"
+        replacement.write_text("id,a,b\n" + rows.replace("r", "s"), encoding="ascii")
+        os.replace(replacement, path)
+        return split
+
+    monkeypatch.setattr(dataset, "_split_offset", replacing)
+    return path, serial
 
 
 class TestSplit:
@@ -367,8 +394,7 @@ class TestSplit:
         "raise SystemExit(1)",
         "raise RuntimeError('worker crashed')",
         "",  # exit 0, no output
-        "import marshal, sys\n"  # cut short
-        "sys.stdout.buffer.write(marshal.dumps((['Z'], [], 2)) + bytes(8))",
+        CUT_SHORT,
         "import marshal, sys\n"  # whole, but a failure
         "sys.stdout.buffer.write(marshal.dumps((['Z'], [], 2)) + bytes(16))\n"
         "sys.stdout.flush()\n"
@@ -400,46 +426,35 @@ class TestSplit:
         assert split == serial and "field larger than field limit" in serial
         assert len(started) == 1
 
-    def test_a_changed_file_is_refused(self, tmp_path, monkeypatch):
-        path = write_body(tmp_path, "a blank cell late")
-        serial = outcome(path, "listwise")
-        started = force_split(monkeypatch)
-        real_stat = os.stat
-
-        def stat(name, *args, **kwargs):
-            st = real_stat(name, *args, **kwargs)
-            if os.fspath(name) != os.fspath(path):
-                return st
-            # The file as it was a nanosecond before it was opened.
-            return types.SimpleNamespace(st_mode=st.st_mode, st_size=st.st_size,
-                                         st_dev=st.st_dev, st_ino=st.st_ino,
-                                         st_mtime_ns=st.st_mtime_ns - 1)
-
-        monkeypatch.setattr(dataset.os, "stat", stat)
-        assert outcome(path, "listwise") == serial
-        assert started == []
-
     def test_a_file_replaced_after_the_split_is_read_as_opened(self, tmp_path,
                                                                monkeypatch):
-        path = tmp_path / "data.csv"
-        rows = "".join(f"r{i},{i}.5,{-i}.25\n" for i in range(40))
-        path.write_text("id,a,b\n" + rows, encoding="ascii")
-        serial = outcome(path, "listwise")
+        path, serial = replaced_at_the_split(tmp_path, monkeypatch)
         started = force_split(monkeypatch)
-        split_offset = dataset._split_offset
-
-        def replacing(raw, size):
-            split = split_offset(raw, size)
-            replacement = tmp_path / "replacement.csv"
-            replacement.write_text("id,a,b\n" + rows.replace("r", "s"),
-                                   encoding="ascii")
-            os.replace(replacement, path)
-            return split
-
-        monkeypatch.setattr(dataset, "_split_offset", replacing)
         assert outcome(path, "listwise") == serial
-        assert serial[0][0] == "r0"
         assert [worker.returncode for worker in started] == [0]
+
+    def test_a_failed_split_reads_the_file_as_opened(self, tmp_path, monkeypatch):
+        path, serial = replaced_at_the_split(tmp_path, monkeypatch)
+        started = force_split(monkeypatch)
+        fake_worker(tmp_path, monkeypatch, CUT_SHORT)
+        assert outcome(path, "listwise") == serial
+        assert len(started) == 1
+
+    def test_a_load_that_falls_back_opens_the_file_once(self, tmp_path, monkeypatch):
+        path = write_body(tmp_path, "a bad cell late")
+        serial = outcome(path, "error")
+        started = force_split(monkeypatch)
+        opened = []
+        real_open = builtins.open
+
+        def counting(file, *args, **kwargs):
+            if file == path:
+                opened.append(args)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting)
+        assert outcome(path, "error") == serial
+        assert len(started) == 1 and len(opened) == 1
 
     def test_a_refused_tail_leaves_nothing(self, tmp_path, monkeypatch):
         path = write_body(tmp_path, "a bad cell late")

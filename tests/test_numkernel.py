@@ -348,3 +348,36 @@ def test_a_non_finite_df_or_shape_parameter_is_rejected(name, call, value):
     with pytest.raises(ValidationError) as exc:
         call(value)
     assert str(exc.value) == f"{name} must be a finite number in (0, inf), got {value!r}"
+
+
+# Each argument is rejected by its own name, whatever its type: a string or a
+# bool ended in a bare TypeError or ran as a number, and a NaN statistic was
+# reported as the incomplete beta's x.
+@pytest.mark.parametrize("call, message", [
+    (lambda: t_two_tailed_p(1.0, "18"), "df must be a finite number in (0, inf), got '18'"),
+    (lambda: t_quantile("0.9", 18), "prob must be a number in (0, 1), got '0.9'"),
+    (lambda: reg_incomplete_beta(1, 2, "0.5"), "x must be a number in [0, 1], got '0.5'"),
+    (lambda: f_tail_p("2", 1, 18), "f must be a number in [0, inf], got '2'"),
+    (lambda: t_quantile(0.975, True), "df must be a finite number in (0, inf), got True"),
+    (lambda: f_tail_p(2, True, 3), "df1 must be a finite number in (0, inf), got True"),
+    (lambda: f_tail_p(math.nan, 1, 3), "f must be a number in [0, inf], got nan"),
+    (lambda: t_two_tailed_p(math.nan, 3), "t must be a number in [-inf, inf], got nan"),
+    (lambda: f_tail_p(-0.5, 1, 18), "f must be a number in [0, inf], got -0.5"),
+    (lambda: t_quantile(1.0, 18), "prob must be a number in (0, 1), got 1.0"),
+    (lambda: reg_incomplete_beta(1, 2, 1.5), "x must be a number in [0, 1], got 1.5"),
+], ids=["t_two_tailed_p-str-df", "t_quantile-str-prob", "reg_incomplete_beta-str-x",
+        "f_tail_p-str-f", "t_quantile-bool-df", "f_tail_p-bool-df1", "f_tail_p-nan-f",
+        "t_two_tailed_p-nan-t", "f_tail_p-negative-f", "t_quantile-prob-1",
+        "reg_incomplete_beta-x-above-1"])
+def test_each_argument_is_rejected_by_its_name(call, message):
+    with pytest.raises(ValidationError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_a_zero_or_infinite_statistic_keeps_its_tail():
+    for df in (1, 2.5, 1e5):
+        assert f_tail_p(0.0, 3, df) == f_tail_p(-0.0, 3, df) == 1.0
+        assert t_two_tailed_p(0.0, df) == 1.0
+        assert f_tail_p(math.inf, 3, df) == t_two_tailed_p(-math.inf, df) == 0.0
+    assert t_quantile(0.5, 7) == 0.0
