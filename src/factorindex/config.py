@@ -33,7 +33,7 @@ from functools import partial
 
 from .dataset import MISSING_POLICIES
 from .errors import (ValidationError, check_bool, check_choice, check_integer,
-                     check_real, reject)
+                     check_real, check_strings, reject)
 from .factors import (DEFAULT_MAX_SWEEPS, DEFAULT_ROTATION_TOL, RETENTION_RULES,
                       ROTATION_METHODS)
 from .inference import LEVENE_CENTERS, STANDARDIZE_SCOPES, check_ci_level
@@ -65,15 +65,12 @@ def _flag(check, **flag_extras):
     return check
 
 
-def _check(accepts, expected, **flag_extras):
-    def check(key, value):
-        if not accepts(value):
-            reject(key, expected, value)
-        return value
-    return _flag(check, **flag_extras)
+def _string(key, value):
+    if not isinstance(value, str):
+        reject(key, "a string", value)
+    return value
 
 
-_string = _check(lambda v: isinstance(v, str), "a string")
 _boolean = _flag(check_bool, action=argparse.BooleanOptionalAction)
 _integer = _flag(partial(check_integer, low=1), type=int)
 _positive = _flag(partial(check_real, low=0.0), type=float)
@@ -88,7 +85,7 @@ def _path(key, value):
     return value
 
 
-_path.flag_extras = _string.flag_extras
+_string.flag_extras = _path.flag_extras = {}
 
 
 def _choice(allowed):
@@ -97,18 +94,11 @@ def _choice(allowed):
 
 def _strings(allowed=None):
     """A list of strings, stored as a tuple; entries from ``allowed`` if given."""
-    entry = (_choice(allowed) if allowed
-             else _check(lambda v: isinstance(v, str), "strings"))
-
-    def check(key, value):
-        if not isinstance(value, (list, tuple)):
-            reject(key, "a list of strings", value)
-        return tuple(entry(f"{key} entries", item) for item in value)
     # A list from a fixed vocabulary is given on the command line by
     # repeating its flag, any other list as one comma-separated value.
-    check.flag_extras = ({"action": "append", "choices": list(allowed)} if allowed
-                         else {"type": _csv_list})
-    return check
+    return _flag(partial(check_strings, allowed=allowed),
+                 **({"action": "append", "choices": list(allowed)} if allowed
+                    else {"type": _csv_list}))
 
 
 def _option(key, check, default=None, flag=None, step=None, help=None):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _rows
-from .errors import ValidationError, check_choice
+from .errors import ValidationError, check_choice, check_strings
 
 MISSING_POLICIES = ("error", "listwise")  # the first is the default
 _MIN_CASES = 3
@@ -349,7 +349,7 @@ def select_variables(ds, names):
 
     Unknown names raise, suggesting the closest existing indicator.
     """
-    names = list(names)
+    names = check_strings("names", names)
     index = {name: i for i, name in enumerate(ds.indicator_names)}
     columns = []
     for name in names:
@@ -360,7 +360,7 @@ def select_variables(ds, names):
         columns.append(index[name])
     return IndicatorDataset(
         case_ids=ds.case_ids,
-        indicator_names=tuple(names),
+        indicator_names=names,
         values=ds.values.take(columns, axis=1),
         dropped_ids=ds.dropped_ids,
     )

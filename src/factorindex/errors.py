@@ -71,6 +71,19 @@ def check_real(name, value, low, high=math.inf):
     return value
 
 
+def check_strings(name, value, allowed=None):
+    """Return ``value`` as a tuple if it is a list or tuple of strings, each
+    one of ``allowed`` if given."""
+    if not isinstance(value, (list, tuple)):
+        reject(name, "a list of strings", value)
+    for item in value:
+        if allowed:
+            check_choice(f"{name} entries", item, allowed)
+        elif not isinstance(item, str):
+            reject(f"{name} entries", "strings", item)
+    return tuple(value)
+
+
 def check_bool(name, value):
     """Return ``value`` if it is ``True`` or ``False``."""
     if not isinstance(value, bool):

@@ -14,13 +14,15 @@ import numpy as np
 
 from . import dataset as ds_mod
 from .errors import (DegenerateDataError, ValidationError, check_choice, check_real,
-                     reject)
+                     check_strings, reject)
 from .numkernel import f_tail_p, t_quantile, t_two_tailed_p
 
 _ZERO_SS = 1e-300
 # The values of standardize_scope and levene_center; the first is the default.
 STANDARDIZE_SCOPES = ("selected", "all")
 LEVENE_CENTERS = ("mean", "median")
+# The fewest cases a compared group can hold: each needs a sample variance.
+MIN_GROUP_SIZE = 2
 
 
 @dataclass(frozen=True)
@@ -209,13 +211,15 @@ def compare_groups(ds, group1_ids, group2_ids, variables=None, alpha=0.05,
     check_real("alpha_levene", alpha_levene, 0.0, 1.0)
     check_ci_level("ci_level", ci_level)
     check_choice("levene_center", levene_center, LEVENE_CENTERS)
-    group1_ids = tuple(group1_ids)
-    group2_ids = tuple(group2_ids)
+    group1_ids = check_strings("group1_ids", group1_ids)
+    group2_ids = check_strings("group2_ids", group2_ids)
+    if variables is not None:
+        check_strings("variables", variables)
     overlap = set(group1_ids) & set(group2_ids)
     if overlap:
         raise ValidationError(f"groups overlap: {sorted(overlap)}")
-    if len(group1_ids) < 2 or len(group2_ids) < 2:
-        raise ValidationError("each group needs at least 2 cases")
+    if min(len(group1_ids), len(group2_ids)) < MIN_GROUP_SIZE:
+        raise ValidationError(f"each group needs at least {MIN_GROUP_SIZE} cases")
     # The row of each group id, found in one pass over the table's ids.
     row_of = dict.fromkeys(group1_ids + group2_ids)
     for i, cid in enumerate(ds.case_ids):

@@ -42,7 +42,7 @@ from .config import COMMANDS, PipelineConfig
 from .dataset import load_csv, select_variables, standardize
 from .errors import ValidationError, with_stage
 from .factors import build_factor_model, factor_scores
-from .inference import compare_groups
+from .inference import MIN_GROUP_SIZE, compare_groups
 from .ranking import check_group_size, rank_by_factor, with_groups
 
 
@@ -84,8 +84,10 @@ def run_pipeline(config, stage="analyze"):
     del ds
 
     if "ranking" in steps:
-        # Before the factor model, so a singular R cannot mask a bad k.
-        check_group_size(config.ranking_k, model_ds.n_cases)
+        # Before the factor model, so a singular R cannot mask a bad k; groups
+        # that are compared need as many cases as compare_groups asks.
+        check_group_size(config.ranking_k, model_ds.n_cases,
+                         MIN_GROUP_SIZE if "comparison" in steps else 1)
 
     model = ranked = comparison = None
     if "model" in steps:

@@ -67,10 +67,10 @@ def rank_by_factor(scores, factor, direction=DIRECTIONS[0]):
                        scores=column[order])
 
 
-def check_group_size(k, n):
-    """Return ``k`` as an int if 1 <= k <= floor(n/2), so that the end groups of
-    n cases cannot overlap."""
-    k = int(check_integer("k", k, 1))
+def check_group_size(k, n, low=1):
+    """Return ``k`` as an int if ``low`` <= k <= floor(n/2), so that the end
+    groups of n cases cannot overlap."""
+    k = int(check_integer("k", k, low))
     bound = n // 2
     if k > bound:
         raise ValidationError(

@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import math
+import numbers
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -69,21 +70,46 @@ def _factor_headers(k):
     return [f"factor_{j}" for j in range(1, k + 1)]
 
 
+def _table(columns, rows):
+    """Aligned text lines: the titles of ``columns``, then each row of cells.
+
+    A column is ``(title, width)``, right-aligned, or left-aligned at a
+    negative width. An integer cell prints in full, any other number to 3
+    decimals. A row may stop short of the last column.
+    """
+    def line(cells):
+        return "  ".join(cell.rjust(width) if width > 0 else cell.ljust(-width)
+                         for cell, (_, width) in zip(cells, columns))
+
+    def text(cell):
+        if isinstance(cell, str):
+            return cell
+        return str(cell) if isinstance(cell, numbers.Integral) else f"{cell:.3f}"
+
+    return [line(title for title, _ in columns)] + [line(map(text, row)) for row in rows]
+
+
+def _name_column(names):
+    """The left-aligned ``variable`` column, as wide as its longest name."""
+    return "variable", -max(len("variable"), *map(len, names))
+
+
 # ---------------------------------------------------------------------------
 # factor model
 
 
-def _by_variable_csv(model, matrix):
-    """``matrix`` of the model, variables as rows and factors as columns."""
-    rows = [["variable"] + _factor_headers(model.retained)]
-    for name, row in zip(model.indicator_names, matrix):
-        rows.append([name] + [_num(v) for v in row])
+def _by_variable_csv(model, headers, matrix):
+    """``matrix`` of the model under ``headers``: one row per variable."""
+    rows = [["variable"] + headers]
+    rows += ([name] + [_num(v) for v in row]
+             for name, row in zip(model.indicator_names, matrix))
     return _csv_text(rows)
 
 
 def loadings_csv(model):
     """Rotated loadings, variables as rows and factors as columns."""
-    return _by_variable_csv(model, model.loadings_rotated)
+    return _by_variable_csv(model, _factor_headers(model.retained),
+                            model.loadings_rotated)
 
 
 def _eigenvalue_rows(model):
@@ -104,49 +130,36 @@ def eigenvalues_csv(model):
 
 
 def communalities_csv(model):
-    rows = [["variable", "communality"]]
-    for name, value in zip(model.indicator_names, model.communalities):
-        rows.append([name, _num(value)])
-    return _csv_text(rows)
+    return _by_variable_csv(model, ["communality"], model.communalities[:, None])
 
 
 def score_coefficients_csv(model):
-    return _by_variable_csv(model, model.score_coefficients)
+    return _by_variable_csv(model, _factor_headers(model.retained),
+                            model.score_coefficients)
 
 
 def factor_model_text(model):
-    lines = []
-    p = len(model.indicator_names)
-    lines.append("Factor model")
-    lines.append("=" * 12)
-    lines.append(f"Variables: {p}")
-    lines.append(f"Retained factors: {model.retained}")
-    lines.append(
+    names = model.indicator_names
+    lines = [
+        "Factor model", "=" * 12,
+        f"Variables: {len(names)}",
+        f"Retained factors: {model.retained}",
         f"Variance explained by retained factors: "
-        f"{100.0 * model.variance_explained:.1f}%"
-    )
-    lines.append(f"KMO sampling adequacy: {model.kmo.overall:.3f} ({model.kmo.label})")
+        f"{100.0 * model.variance_explained:.1f}%",
+        f"KMO sampling adequacy: {model.kmo.overall:.3f} ({model.kmo.label})",
+    ]
     if not model.rotation_converged:
         lines.append("WARNING: rotation did not converge; loadings are best-iterate")
-    lines.append("")
-    lines.append("Eigenvalues")
-    lines.append("component  eigenvalue  proportion  cumulative")
-    lines += (f"{i:>9d}  {value:>10.3f}  {share:>10.3f}  {cumulative:>10.3f}"
-              for i, value, share, cumulative in _eigenvalue_rows(model))
-    lines.append("")
+    lines += ["", "Eigenvalues"]
+    lines += _table((("component", 9), ("eigenvalue", 10), ("proportion", 10),
+                     ("cumulative", 10)), _eigenvalue_rows(model))
     title = "Rotated loadings" if model.rotation_method != "none" else "Loadings"
-    lines.append(f"{title} (communality in last column)")
-    name_width = max(len("variable"), max(len(n) for n in model.indicator_names))
-    header = ["variable".ljust(name_width)]
-    header += [h.rjust(9) for h in _factor_headers(model.retained)]
-    header.append("communality".rjust(12))
-    lines.append("  ".join(header))
-    for name, row, h2 in zip(model.indicator_names, model.loadings_rotated,
-                             model.communalities):
-        cells = [name.ljust(name_width)]
-        cells += [f"{v:>9.3f}" for v in row]
-        cells.append(f"{h2:>12.3f}")
-        lines.append("  ".join(cells))
+    lines += ["", f"{title} (communality in last column)"]
+    columns = (_name_column(names),
+               *((header, 9) for header in _factor_headers(model.retained)),
+               ("communality", 12))
+    lines += _table(columns, ((name, *row, h2) for name, row, h2 in zip(
+        names, model.loadings_rotated, model.communalities)))
     return "\n".join(lines) + "\n"
 
 
@@ -252,97 +265,78 @@ def write_ranking(ranked, model, streams):
 # group comparison
 
 
+# The fields of a t-test, in column order.
+_TEST_FIELDS = ("t", "df", "p_two_tailed", "mean_difference", "se_difference",
+                "ci_low", "ci_high")
+
+
+def _comparison_rows(report):
+    """``(record, t-test, flags)`` per comparison row: a degenerate variable's
+    one row, with no t-test, or a pooled then a Welch row. ``flags`` holds
+    whether the row is the reported variant, and whether it is significant at
+    0.05 and at 0.10, which only the reported row can be."""
+    for rec in report.variables:
+        if rec.degenerate:
+            yield rec, None, (False, False, False)
+            continue
+        for res in (rec.pooled, rec.welch):
+            reported = res.variant == rec.reported_variant
+            yield rec, res, (reported, reported and rec.significant_at_05,
+                             reported and rec.significant_at_10)
+
+
 def comparison_csv(report):
     rows = [[
         "variable", "variant", "reported",
-        "group1_n", "group1_mean", "group1_sd", "group1_sem",
-        "group2_n", "group2_mean", "group2_sd", "group2_sem",
-        "levene_F", "levene_p",
-        "t", "df", "p_two_tailed", "mean_difference", "se_difference",
-        "ci_low", "ci_high", "significant_at_05", "significant_at_10",
-        "degenerate", "note",
+        *(f"group{g}_{field}" for g in (1, 2) for field in ("n", "mean", "sd", "sem")),
+        "levene_F", "levene_p", *_TEST_FIELDS,
+        "significant_at_05", "significant_at_10", "degenerate", "note",
     ]]
-    for rec in report.variables:
-        base = [
-            str(rec.group1.n), _num(rec.group1.mean), _num(rec.group1.sd),
-            _num(rec.group1.sem),
-            str(rec.group2.n), _num(rec.group2.mean), _num(rec.group2.sd),
-            _num(rec.group2.sem),
-        ]
-        if rec.degenerate:
-            rows.append([rec.name, "", ""] + base + [""] * 10
-                        + ["true", rec.note or ""])
+    for rec, res, flags in _comparison_rows(report):
+        groups = [cell for group in (rec.group1, rec.group2)
+                  for cell in (str(group.n), _num(group.mean), _num(group.sd),
+                               _num(group.sem))]
+        if res is None:
+            rows.append([rec.name, "", "", *groups, *[""] * 10, "true", rec.note or ""])
             continue
-        levene = [_num(rec.levene.F), _num(rec.levene.p)]
-        for res in (rec.pooled, rec.welch):
-            rows.append(
-                [rec.name, res.variant,
-                 "true" if rec.reported_variant == res.variant else "false"]
-                + base + levene
-                + [_num(res.t), _num(res.df), _num(res.p_two_tailed),
-                   _num(res.mean_difference), _num(res.se_difference),
-                   _num(res.ci_low), _num(res.ci_high),
-                   "true" if rec.significant_at_05 and rec.reported_variant == res.variant else "false",
-                   "true" if rec.significant_at_10 and rec.reported_variant == res.variant else "false",
-                   "false", ""]
-            )
+        reported, at_05, at_10 = ("true" if flag else "false" for flag in flags)
+        rows.append([rec.name, res.variant, reported, *groups,
+                     _num(rec.levene.F), _num(rec.levene.p),
+                     *(_num(getattr(res, field)) for field in _TEST_FIELDS),
+                     at_05, at_10, "false", ""])
     return _csv_text(rows)
 
 
 def comparison_text(report):
-    lines = []
-    lines.append("Group comparison")
-    lines.append("=" * 16)
-    lines.append(f"Group 1 ({len(report.group1_ids)}): " + ", ".join(report.group1_ids))
-    lines.append(f"Group 2 ({len(report.group2_ids)}): " + ", ".join(report.group2_ids))
-    lines.append(
+    records = report.variables
+    name = _name_column(rec.name for rec in records)
+    lines = [
+        "Group comparison", "=" * 16,
+        f"Group 1 ({len(report.group1_ids)}): " + ", ".join(report.group1_ids),
+        f"Group 2 ({len(report.group2_ids)}): " + ", ".join(report.group2_ids),
         f"alpha = {report.alpha:g}; Levene alpha = {report.alpha_levene:g}; "
         f"CI level = {report.ci_level:g}; "
         f"standardization scope = {report.standardize_scope}; "
-        f"Levene center = {report.levene_center}"
-    )
-    lines.append("")
-
-    name_width = max(len("variable"), max(len(r.name) for r in report.variables))
-    lines.append("Group statistics (raw units)")
-    lines.append(
-        f"{'variable'.ljust(name_width)}  group  {'N':>3}  {'mean':>12}  "
-        f"{'sd':>12}  {'sem':>12}"
-    )
-    for rec in report.variables:
-        for label, desc in (("1", rec.group1), ("2", rec.group2)):
-            lines.append(
-                f"{rec.name.ljust(name_width)}  {label:>5}  {desc.n:>3d}  "
-                f"{desc.mean:>12.3f}  {desc.sd:>12.3f}  {desc.sem:>12.3f}"
-            )
-    lines.append("")
-
-    lines.append("Levene's test and t-tests (standardized values)")
-    lines.append(
-        f"{'variable'.ljust(name_width)}  {'F':>8}  {'Sig.':>6}  variant  rep  "
-        f"{'t':>8}  {'df':>7}  {'Sig.(2t)':>8}  {'mean diff':>10}  "
-        f"{'se diff':>8}  {'ci low':>8}  {'ci high':>8}"
-    )
-    for rec in report.variables:
-        if rec.degenerate:
-            lines.append(
-                f"{rec.name.ljust(name_width)}  degenerate: {rec.note}"
-            )
-            continue
-        for res in (rec.pooled, rec.welch):
-            marker = "*" if rec.reported_variant == res.variant else " "
-            lines.append(
-                f"{rec.name.ljust(name_width)}  {rec.levene.F:>8.3f}  "
-                f"{rec.levene.p:>6.3f}  {res.variant:<7}  {marker:>3}  "
-                f"{res.t:>8.3f}  {res.df:>7.3f}  {res.p_two_tailed:>8.3f}  "
-                f"{res.mean_difference:>10.3f}  {res.se_difference:>8.3f}  "
-                f"{res.ci_low:>8.3f}  {res.ci_high:>8.3f}"
-            )
-    lines.append("")
-    lines.append("rep * = variant selected by Levene's test")
-    significant = [r.name for r in report.variables if r.significant]
-    lines.append(
-        f"Significant at alpha {report.alpha:g}: "
-        + (", ".join(significant) if significant else "none")
-    )
+        f"Levene center = {report.levene_center}",
+        "", "Group statistics (raw units)",
+    ]
+    lines += _table(
+        (name, ("group", 5), ("N", 3), ("mean", 12), ("sd", 12), ("sem", 12)),
+        ((rec.name, label, group.n, group.mean, group.sd, group.sem)
+         for rec in records
+         for label, group in (("1", rec.group1), ("2", rec.group2))))
+    lines += ["", "Levene's test and t-tests (standardized values)"]
+    lines += _table(
+        (name, ("F", 8), ("Sig.", 6), ("variant", -7), ("rep", 3), ("t", 8),
+         ("df", 7), ("Sig.(2t)", 8), ("mean diff", 10), ("se diff", 8),
+         ("ci low", 8), ("ci high", 8)),
+        # A degenerate row is its name and its note, run on past the F column.
+        ((rec.name, f"degenerate: {rec.note}") if res is None else
+         (rec.name, rec.levene.F, rec.levene.p, res.variant,
+          "*" if flags[0] else " ", *(getattr(res, field) for field in _TEST_FIELDS))
+         for rec, res, flags in _comparison_rows(report)))
+    significant = [rec.name for rec in records if rec.significant]
+    lines += ["", "rep * = variant selected by Levene's test",
+              f"Significant at alpha {report.alpha:g}: "
+              + (", ".join(significant) if significant else "none")]
     return "\n".join(lines) + "\n"

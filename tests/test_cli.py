@@ -98,6 +98,23 @@ class TestAnalyze:
         assert "floor(n/2) = 44" in err and "88" in err
         assert not (tmp_path / "x").exists()  # no partial outputs
 
+    def test_analyze_k_1_exits_2_before_the_factor_model(self, table_csv, tmp_path,
+                                                         capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the factor model was built")
+        monkeypatch.setattr(pipeline, "build_factor_model", refuse)
+        rc = main(["analyze", "--input", table_csv,
+                   "--out-dir", str(tmp_path / "x"), "--k", "1"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: k must be an integer >= 2, got 1\n"
+        assert not (tmp_path / "x").exists()
+
+    def test_rank_takes_k_1(self, table_csv, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert main(["rank", "--input", table_csv, "--out-dir", str(out),
+                     "--k", "1", "--format", "json"]) == 0
+        assert json.loads((out / "ranking.json").read_text())["group_size"] == 1
+
     @pytest.mark.parametrize("level", [3.3, 123456.789, 987654321.123])
     def test_a_constant_column_exits_2_at_any_magnitude(self, tmp_path, capsys, level):
         ids, names, values = make_table()
@@ -1305,6 +1322,41 @@ class TestConfigValidation:
         assert message.startswith(f"{key} must be one of '")
         assert message.endswith(", got 'bogus'")
         assert str(from_library.value) == argument + message[len(key):]
+
+    # A list of ids or names and its library argument share one check.
+    @pytest.mark.parametrize("value, expected", [
+        ("c1", " must be a list of strings, got 'c1'"),
+        ([1, "zz"], " entries must be strings, got 1"),
+    ])
+    @pytest.mark.parametrize("key, argument", [
+        ("comparison.group1", "group1_ids"),
+        ("comparison.group2", "group2_ids"),
+        ("comparison.variables", "variables"),
+        ("variables", "names"),
+    ])
+    def test_a_bad_list_gets_one_message_from_library_and_config(
+            self, key, argument, value, expected):
+        ds = dataset_from(*make_table(n=12, p=4, seed=7))
+        groups = [list(ds.case_ids[:3]), list(ds.case_ids[3:6])]
+        library = {
+            "comparison.group1": lambda v: compare_groups(ds, v, groups[1]),
+            "comparison.group2": lambda v: compare_groups(ds, groups[0], v),
+            "comparison.variables": lambda v: compare_groups(ds, *groups, variables=v),
+            "variables": lambda v: select_variables(ds, v),
+        }
+        with pytest.raises(ValidationError) as from_library:
+            library[key](value)
+        assert str(from_library.value) == argument + expected
+        section, _, leaf = key.rpartition(".")
+        document = {"input": "x.csv"}
+        (document.setdefault(section, {}) if section else document)[leaf] = value
+        with pytest.raises(ValidationError) as from_config:
+            config_from_dict(document)
+        assert str(from_config.value) == key + expected
+
+    def test_a_null_section_is_the_default(self):
+        assert (config_from_dict({"input": "x.csv", "rotation": None})
+                == config_from_dict({"input": "x.csv"}))
 
     # A numeric or boolean option and its library argument share one check.
     # A null in a config document means the default, so None goes only to

@@ -268,6 +268,18 @@ class TestBlockParse:
             assert splits(write_body(tmp_path, name)), name
         assert not splits(write_body(tmp_path, "a quoted newline early"))
 
+    @pytest.mark.parametrize("policy", ["error", "listwise"])
+    def test_finite_cells_whose_sum_overflows_load_whole(self, tmp_path, policy):
+        # Every row is complete, but the block's sum is infinite: the block
+        # parse keeps it whole, and standardize then names the column.
+        path = write(tmp_path, "id,a,b\nr1,1e308,1e308\nr2,1.0,2.0\nr3,-1e308,3.0\n")
+        ds = load_csv(path, missing_policy=policy)
+        assert ds.case_ids == ("r1", "r2", "r3") and ds.dropped_ids == ()
+        assert ds.values.tolist() == [[1e308, 1e308], [1.0, 2.0], [-1e308, 3.0]]
+        with pytest.raises(ValidationError,
+                           match="^a: values too large to standardize$"):
+            standardize(ds)
+
     @pytest.mark.parametrize("cells", [1, 7, dataset._CHUNK_CELLS])
     @pytest.mark.parametrize("name, message", [
         ("bad row, then an oversized field", "non-numeric value 'abc' at row 3"),
