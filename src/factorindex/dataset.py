@@ -10,10 +10,12 @@ once built, and operations return new objects; only
 import csv
 import difflib
 import io
+import operator
 import os
 import stat
 import sys
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -29,7 +31,8 @@ _SPLIT_BYTES = 3_000_000  # smallest file parsed on two cores: the break-even
 
 @dataclass(frozen=True)
 class IndicatorDataset:
-    """Numeric table of ``n`` cases by ``p`` indicators."""
+    """Numeric table of ``n`` cases by ``p`` indicators, whose case ids and
+    indicator names are strings."""
 
     case_ids: tuple
     indicator_names: tuple
@@ -41,8 +44,9 @@ class IndicatorDataset:
         # the artifact bytes depend on it; load_csv's buffer is not copied.
         values = np.ascontiguousarray(self.values, dtype=float)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "case_ids", tuple(self.case_ids))
-        object.__setattr__(self, "indicator_names", tuple(self.indicator_names))
+        object.__setattr__(self, "case_ids", check_strings("case_ids", self.case_ids))
+        object.__setattr__(self, "indicator_names",
+                           check_strings("indicator_names", self.indicator_names))
         n, p = values.shape if values.ndim == 2 else (0, 0)
         if values.ndim != 2 or n != len(self.case_ids) or p != len(self.indicator_names):
             raise ValidationError(
@@ -95,7 +99,16 @@ class StandardizedMatrix:
 
 
 def first_duplicate(items):
-    # A dict, not a set: a set's table grows fourfold, to twice the memory.
+    """The first of ``items``, in their order, that repeats an earlier one, or
+    None. The items must be mutually ordered, as strings are.
+
+    A sorted copy, compared neighbour to neighbour, is one list of pointers;
+    only when it holds a repeat does a dict name the first one.
+    """
+    ordered = sorted(items)
+    if not any(map(operator.eq, ordered, islice(ordered, 1, None))):
+        return None
+    del ordered
     seen = {}
     for item in items:
         if item in seen:
@@ -137,6 +150,8 @@ def load_csv(path, id_column=None, missing_policy=MISSING_POLICIES[0]):
         if loaded is None:
             loaded = _load_serial(raw, path, id_column, missing_policy)
     indicator_names, case_ids, parsed, dropped = loaded
+    del loaded
+    case_ids = tuple(case_ids)  # the parse's list is freed here
     if len(case_ids) < _MIN_CASES:
         raise ValidationError(
             f"{path}: fewer than {_MIN_CASES} complete rows after loading "
@@ -144,8 +159,7 @@ def load_csv(path, id_column=None, missing_policy=MISSING_POLICIES[0]):
         )
     values = np.frombuffer(parsed, dtype=float).reshape(len(case_ids),
                                                         len(indicator_names))
-    return IndicatorDataset(tuple(case_ids), tuple(indicator_names), values,
-                            tuple(dropped))
+    return IndicatorDataset(case_ids, tuple(indicator_names), values, tuple(dropped))
 
 
 def _block_rows(width):

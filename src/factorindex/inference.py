@@ -9,6 +9,7 @@ reported one chosen by Levene's test.
 import math
 import numbers
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -215,28 +216,31 @@ def compare_groups(ds, group1_ids, group2_ids, variables=None, alpha=0.05,
     group2_ids = check_strings("group2_ids", group2_ids)
     if variables is not None:
         check_strings("variables", variables)
-    overlap = set(group1_ids) & set(group2_ids)
+    # One dict maps each group id to its row: -1 marks an id of group 1 and
+    # -2 one of group 2 until one pass over the table's ids finds its row.
+    row_of = dict.fromkeys(group1_ids, -1)
+    overlap = {cid for cid in group2_ids if row_of.setdefault(cid, -2) == -1}
     if overlap:
         raise ValidationError(f"groups overlap: {sorted(overlap)}")
-    if min(len(group1_ids), len(group2_ids)) < MIN_GROUP_SIZE:
+    n1, n2 = len(group1_ids), len(group2_ids)
+    if min(n1, n2) < MIN_GROUP_SIZE:
         raise ValidationError(f"each group needs at least {MIN_GROUP_SIZE} cases")
-    # The row of each group id, found in one pass over the table's ids.
-    row_of = dict.fromkeys(group1_ids + group2_ids)
     for i, cid in enumerate(ds.case_ids):
         if cid in row_of:
             row_of[cid] = i
-    unknown = {cid for cid, row in row_of.items() if row is None}
+    unknown = [cid for cid, row in row_of.items() if row < 0]
     if unknown:
         raise ValidationError(f"unknown case id(s): {sorted(unknown)}")
-    for label, group in (("1", group1_ids), ("2", group2_ids)):
-        repeated = ds_mod.first_duplicate(group)
-        if repeated is not None:
-            raise ValidationError(f"group {label} repeats case id {repeated!r}")
+    if len(row_of) < n1 + n2:  # disjoint groups: a repeat within one
+        for label, group in (("1", group1_ids), ("2", group2_ids)):
+            repeated = ds_mod.first_duplicate(group)
+            if repeated is not None:
+                raise ValidationError(f"group {label} repeats case id {repeated!r}")
 
     sub = ds if variables is None else ds_mod.select_variables(ds, variables)
     # Group 1's rows then group 2's, in id-list order; group 1 is rows[:n1].
-    n1 = len(group1_ids)
-    rows = np.array([row_of[cid] for cid in group1_ids + group2_ids], dtype=np.intp)
+    rows = np.fromiter(map(row_of.__getitem__, chain(group1_ids, group2_ids)),
+                       dtype=np.intp, count=n1 + n2)
     del row_of  # not held through the scope statistics
 
     # The "selected" moments are summed over the groups' rows as one C-ordered

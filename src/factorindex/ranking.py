@@ -72,9 +72,12 @@ def check_group_size(k, n, low=1):
     groups of n cases cannot overlap."""
     k = int(check_integer("k", k, low))
     bound = n // 2
+    if low > bound:
+        raise ValidationError(f"group size k={k!r} out of range: no k fits {n} cases "
+                              f"(need {low} <= k <= floor(n/2) = {bound})")
     if k > bound:
         raise ValidationError(
-            f"group size k={k!r} out of range: need 1 <= k <= floor(n/2) = {bound} "
+            f"group size k={k!r} out of range: need {low} <= k <= floor(n/2) = {bound} "
             f"(n = {n})"
         )
     return k

@@ -297,7 +297,9 @@ def comparison_csv(report):
                   for cell in (str(group.n), _num(group.mean), _num(group.sd),
                                _num(group.sem))]
         if res is None:
-            rows.append([rec.name, "", "", *groups, *[""] * 10, "true", rec.note or ""])
+            # Blank Levene F and p, t-test fields and 0.05 and 0.10 flags.
+            blanks = [""] * (2 + len(_TEST_FIELDS) + 2)
+            rows.append([rec.name, "", "", *groups, *blanks, "true", rec.note or ""])
             continue
         reported, at_05, at_10 = ("true" if flag else "false" for flag in flags)
         rows.append([rec.name, res.variant, reported, *groups,

@@ -345,6 +345,42 @@ class TestSubcommands:
         parsed = json.loads((out / "comparison.json").read_text())
         assert [v["name"] for v in parsed["variables"]] == [names[1]]
 
+    def test_a_degenerate_variable_fills_every_csv_column(self, tmp_path):
+        ids, names, values = make_table()
+        path = write_table_csv(tmp_path / "table.csv", ids, names + ("flat",),
+                               np.column_stack([values, np.full(len(ids), 5.0)]))
+        out = tmp_path / "out"
+        assert main(["analyze", "--input", path, "--out-dir", str(out),
+                     "--variables", ",".join(names), "--compare-variables",
+                     f"{names[0]},flat", "--format", "csv"]) == 0
+        tables = sorted(name for name in os.listdir(out) if name.endswith(".csv"))
+        assert len(tables) == 6
+        for name in tables:
+            with open(out / name, newline="", encoding="utf-8") as fh:
+                header, *rows = csv.reader(fh)
+            assert [len(row) for row in rows] == [len(header)] * len(rows), name
+        with open(out / "comparison.csv", newline="", encoding="utf-8") as fh:
+            flat, = (row for row in csv.DictReader(fh) if row["variable"] == "flat")
+        assert (flat["significant_at_10"], flat["degenerate"], flat["note"]) == (
+            "", "true", "constant within the standardization scope")
+
+    @pytest.mark.parametrize("command, n, k, error", [
+        ("analyze", 3, 2, "no k fits 3 cases (need 2 <= k <= floor(n/2) = 1)"),
+        ("analyze", 4, 3, "need 2 <= k <= floor(n/2) = 2 (n = 4)"),
+        ("analyze", 5, 3, "need 2 <= k <= floor(n/2) = 2 (n = 5)"),
+        ("rank", 3, 2, "need 1 <= k <= floor(n/2) = 1 (n = 3)"),
+    ])
+    def test_the_k_range_message_names_the_lower_bound(self, tmp_path, capsys,
+                                                       command, n, k, error):
+        ids, names, values = make_table(n=n, p=4, n_factors=2)
+        path = write_table_csv(tmp_path / "table.csv", ids, names, values)
+        out = tmp_path / "out"
+        assert main([command, "--input", path, "--out-dir", str(out),
+                     "--k", str(k)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: group size k={k} out of range: {error}\n")
+        assert not out.exists()
+
     def test_empty_compare_variables_exit_2(self, table_csv, tmp_path, capsys):
         out = tmp_path / "cmp"
         assert main(["analyze", "--input", table_csv, "--out-dir", str(out),
@@ -1038,7 +1074,7 @@ class TestNotices:
     @pytest.mark.parametrize("flags, notice, error", [
         (["--missing-policy", "listwise", "--k", "60"],
          "listwise deletion dropped 2 case(s): Community_04, Community_41",
-         "group size k=60 out of range: need 1 <= k <= floor(n/2) = 43 (n = 86)"),
+         "group size k=60 out of range: need 2 <= k <= floor(n/2) = 43 (n = 86)"),
         (["--rotation-max-iter", "1", "--retention", "fixed", "--retention-k", "2",
           "--factor", "3"],
          "varimax did not reach a fixed point in 1 sweeps; returning best iterate",

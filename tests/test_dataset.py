@@ -2,6 +2,7 @@ import builtins
 import csv
 import gc
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -82,6 +83,12 @@ class TestLoadCsv:
         path = write(tmp_path, "community,a,b\nX,1,2\nX,3,4\nZ,5,6\n")
         with pytest.raises(ValidationError, match="duplicate case id: 'X'"):
             load_csv(path)
+
+    def test_duplicate_indicator_name(self, tmp_path):
+        path = write(tmp_path, "id,a,b,a\nX,1,2,3\nY,4,5,6\nZ,7,8,9\n")
+        with pytest.raises(ValidationError) as exc:
+            load_csv(path)
+        assert str(exc.value) == "duplicate indicator name: 'a'"
 
     @pytest.mark.parametrize("body, row, policy", [
         ("X,1,2\n,3,4\nZ,5,6\nW,7,8\n", 2, "error"),
@@ -571,6 +578,37 @@ class TestDatasetInvariants:
         with pytest.raises(ValidationError) as exc:
             dataset_from(["a", "b", "c", "b", "a"], ["x"], np.ones((5, 1)))
         assert str(exc.value) == "duplicate case id: 'b'"
+        # Input order names the repeat, not sorted order.
+        assert dataset.first_duplicate(["b", "c", "a", "c", "b"]) == "c"
+
+    def test_a_repeat_in_the_last_of_many_shuffled_ids_is_found(self):
+        ids = [f"id{i:05d}" for i in range(50_000)]
+        random.Random(31).shuffle(ids)
+        assert dataset.first_duplicate(ids) is None
+        assert dataset.first_duplicate(ids + [ids[123]]) == ids[123]
+
+    def test_the_duplicate_check_keeps_one_list_of_pointers(self):
+        # A sorted copy is 8 bytes an id, and its merges at most 4 more; a
+        # dict over the ids would take about 58.
+        ids = [f"id{i:05d}" for i in range(50_000)]
+        random.Random(37).shuffle(ids)
+        tracemalloc.start()
+        try:
+            assert dataset.first_duplicate(ids) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * len(ids)
+
+    @pytest.mark.parametrize("ids, names, message", [
+        (["a", 2, "c"], ["x"], "case_ids entries must be strings, got 2"),
+        (["a", "b", "c"], ["x", None], "indicator_names entries must be strings, "
+                                       "got None"),
+    ], ids=["case id", "indicator name"])
+    def test_a_non_string_id_or_name_is_named(self, ids, names, message):
+        with pytest.raises(ValidationError) as exc:
+            dataset_from(ids, names, np.ones((len(ids), len(names))))
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize("shape", [(3, 3), (4, 2), (6,)])
     def test_values_must_match_the_ids_and_names(self, shape):

@@ -334,6 +334,31 @@ class TestCompareGroups:
             compare_groups(ds, (ids[0], ids[0], "nope", ids[1]), ids[10:] + ("also",))
         assert str(exc.value) == "unknown case id(s): ['also', 'nope']"
 
+    @pytest.mark.parametrize("group1, group2, message", [
+        # Overlap, a repeat and an unknown id at once: the overlap is named.
+        ([0, 0, "nope", 1, 12], [12, 13, 14], "groups overlap: ['c12']"),
+        ([0, 12, 0, 13], [13, 12, 12, "nope"], "groups overlap: ['c12', 'c13']"),
+        # A group too small, with an unknown id: the size comes first.
+        ([0, "nope"], [10], "each group needs at least 2 cases"),
+        # A repeat in group 2 only is named as group 2's; with repeats in
+        # both groups, group 1's is named.
+        ([0, 1, 2], [10, 11, 10, 12], "group 2 repeats case id 'c10'"),
+        ([0, 1, 0], [10, 11, 10], "group 1 repeats case id 'c0'"),
+        # A group of one id given twice has two entries, not one case.
+        ([0, 0], [10, 11], "group 1 repeats case id 'c0'"),
+    ], ids=["overlap repeat unknown", "overlap within repeats", "size unknown",
+            "repeat in group 2", "repeats in both", "one id twice"])
+    def test_the_first_broken_rule_is_reported(self, group1, group2, message):
+        ds = dataset_from([f"c{i}" for i in range(20)], ["x", "y"],
+                          np.random.RandomState(71).randn(20, 2))
+
+        def ids(group):
+            return [i if isinstance(i, str) else f"c{i}" for i in group]
+
+        with pytest.raises(ValidationError) as exc:
+            compare_groups(ds, ids(group1), ids(group2))
+        assert str(exc.value) == message
+
     def test_unknown_variable_suggests(self):
         rng = np.random.RandomState(61)
         ds = two_group_dataset(rng)

@@ -182,7 +182,7 @@ households_below_poverty_line,pooled,true,10,-12.5,2.25,0.71875,10,1234.0625,0.5
 households_below_poverty_line,welch,false,10,-12.5,2.25,0.71875,10,1234.0625,0.5,0.15625,1.5,0.25,-2.5,15.75,0.0234375,-1.25,0.5,-2.375,-0.125,false,false,false,
 x,pooled,false,10,1234.0625,0.5,0.15625,10,-12.5,2.25,0.71875,1.5,0.03125,-2.5,18.0,0.0625,-1.25,0.5,-2.3125,-0.1875,false,false,false,
 x,welch,true,10,1234.0625,0.5,0.15625,10,-12.5,2.25,0.71875,1.5,0.03125,-2.5,15.75,0.0703125,-1.25,0.5,-2.375,-0.125,false,true,false,
-flat,,,10,-12.5,2.25,0.71875,10,1234.0625,0.5,0.15625,,,,,,,,,,,true,constant within the standardization scope
+flat,,,10,-12.5,2.25,0.71875,10,1234.0625,0.5,0.15625,,,,,,,,,,,,true,constant within the standardization scope
 """,
     ("comparison_csv", "none"): """\
 variable,variant,reported,group1_n,group1_mean,group1_sd,group1_sem,group2_n,group2_mean,group2_sd,group2_sem,levene_F,levene_p,t,df,p_two_tailed,mean_difference,se_difference,ci_low,ci_high,significant_at_05,significant_at_10,degenerate,note
