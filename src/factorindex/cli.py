@@ -8,8 +8,8 @@ each one runs, and a subcommand takes the flags of those steps::
     factorindex rank     --input table.csv ...      # through ranking
     factorindex compare  --input table.csv --group1 a,b --group2 c,d
 
-Every config-file key has a flag of the same meaning; flags override the
-file. Exit codes: 0 success, 2 invalid input/config, 3 numerical failure.
+Every config-file key has a flag of the same meaning and check; flags override
+the file. Exit codes: 0 success, 2 invalid input/config, 3 numerical failure.
 """
 
 import argparse
@@ -22,8 +22,15 @@ from .errors import NumericalError, ValidationError
 from .pipeline import run_pipeline
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose own errors are one :class:`ValidationError` line each."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="factorindex",
         description="Factor model, composite-index ranking, and two-group "
                     "comparison for cases-by-indicators tables.",
@@ -52,14 +59,12 @@ def _build_config(args):
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else 0
-    try:
+        args = build_parser().parse_args(argv)
         config = _build_config(args)
         result = run_pipeline(config, stage=args.command)
+    except SystemExit as exc:  # --help, printed by argparse
+        return exc.code
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -23,11 +23,13 @@ non-finite real is rejected naming its key. Each leaf is declared once, as
 a :class:`PipelineConfig` field whose metadata holds its key, its check,
 its CLI flag and the step that reads it; :data:`COMMANDS` states which steps
 each subcommand runs. A choice's values are the tuple of the module that
-branches on it, and its default is that tuple's first entry.
+branches on it, and its default is that tuple's first entry. A flag's text
+meets the same check, read as an int, else a float, else as text.
 """
 
 import argparse
 import json
+from contextlib import suppress
 from dataclasses import dataclass, field, fields
 from functools import partial
 
@@ -71,11 +73,18 @@ def _string(key, value):
     return value
 
 
+def _number(text):
+    """A numeric flag's text as a document would hold it: int, else float, else text."""
+    for parse in (int, float, str):
+        with suppress(ValueError):
+            return parse(text)
+
+
 _boolean = _flag(check_bool, action=argparse.BooleanOptionalAction)
-_integer = _flag(partial(check_integer, low=1), type=int)
-_positive = _flag(partial(check_real, low=0.0), type=float)
-_probability = _flag(partial(check_real, low=0.0, high=1.0), type=float)
-_level = _flag(check_ci_level, type=float)
+_integer = _flag(partial(check_integer, low=1), type=_number)
+_positive = _flag(partial(check_real, low=0.0), type=_number)
+_probability = _flag(partial(check_real, low=0.0, high=1.0), type=_number)
+_level = _flag(check_ci_level, type=_number)
 
 
 def _path(key, value):
@@ -88,17 +97,18 @@ def _path(key, value):
 _string.flag_extras = _path.flag_extras = {}
 
 
-def _choice(allowed):
-    return _flag(partial(check_choice, allowed=allowed), choices=list(allowed))
+def _choice(allowed, check=check_choice, **flag_extras):
+    return _flag(partial(check, allowed=allowed),
+                 metavar="{" + ",".join(allowed) + "}", **flag_extras)
 
 
 def _strings(allowed=None):
     """A list of strings, stored as a tuple; entries from ``allowed`` if given."""
     # A list from a fixed vocabulary is given on the command line by
     # repeating its flag, any other list as one comma-separated value.
-    return _flag(partial(check_strings, allowed=allowed),
-                 **({"action": "append", "choices": list(allowed)} if allowed
-                    else {"type": _csv_list}))
+    if allowed:
+        return _choice(allowed, check_strings, action="append")
+    return _flag(check_strings, type=_csv_list)
 
 
 def _option(key, check, default=None, flag=None, step=None, help=None):

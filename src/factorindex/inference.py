@@ -18,7 +18,6 @@ from .errors import (DegenerateDataError, ValidationError, check_choice, check_r
                      check_strings, reject)
 from .numkernel import f_tail_p, t_quantile, t_two_tailed_p
 
-_ZERO_SS = 1e-300
 # The values of standardize_scope and levene_center; the first is the default.
 STANDARDIZE_SCOPES = ("selected", "all")
 LEVENE_CENTERS = ("mean", "median")
@@ -132,7 +131,8 @@ def levene_test(g1, g2, center=LEVENE_CENTERS[0]):
     ssw = float(np.sum((da - da.mean()) ** 2) + np.sum((db - db.mean()) ** 2))
     df1 = 1
     df2 = n1 + n2 - 2
-    if ssw <= _ZERO_SS:
+    # Zero relative to the deviations' size: equal ones differ by the center's rounding.
+    if ssw <= 4 * (n1 + n2) * 2.0 ** -52 * float(np.sum(da ** 2) + np.sum(db ** 2)):
         raise DegenerateDataError(
             "Levene statistic undefined: no within-group spread in the deviations"
         )

@@ -36,6 +36,21 @@ def dataset_from(ids, names, values):
     return IndicatorDataset(tuple(ids), tuple(names), np.asarray(values, dtype=float))
 
 
+def tied_groups(seed, sizes, p=100):
+    """Ids and values of two groups of ``sizes`` cases on ``p`` variables.
+
+    Each group's column holds two random values, each in half its cases and
+    in random order. So the absolute deviations from either center (mean or
+    median) are all equal in exact arithmetic: two groups of 2 are any draw,
+    and larger groups are balanced two-valued, such as [a, a, b, b].
+    """
+    rng = np.random.default_rng(seed)
+    blocks = [rng.permuted(np.repeat(rng.standard_normal((2, p)), n // 2, axis=0),
+                           axis=0) for n in sizes]
+    values = np.vstack(blocks) * 10.0 ** rng.uniform(-3, 3, p) + rng.uniform(-50, 50, p)
+    return tuple(f"c{i}" for i in range(sum(sizes))), values
+
+
 def write_table_csv(path, ids, names, values):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

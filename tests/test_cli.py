@@ -19,7 +19,7 @@ import factorindex
 from factorindex import config as config_module
 from factorindex import dataset, pipeline, reports
 from factorindex.cli import build_parser, main
-from factorindex.config import PipelineConfig, config_from_dict
+from factorindex.config import COMMANDS, PipelineConfig, config_from_dict
 from factorindex.dataset import load_csv, select_variables, standardize
 from factorindex.errors import ValidationError
 from factorindex.factors import (FactorScores, build_factor_model, factor_scores,
@@ -27,7 +27,7 @@ from factorindex.factors import (FactorScores, build_factor_model, factor_scores
 from factorindex.inference import compare_groups
 from factorindex.ranking import rank_by_factor, with_groups
 
-from conftest import dataset_from, make_table, write_table_csv
+from conftest import dataset_from, make_table, tied_groups, write_table_csv
 
 
 def write_identity_correlation_csv(tmp_path):
@@ -364,6 +364,24 @@ class TestSubcommands:
         assert (flat["significant_at_10"], flat["degenerate"], flat["note"]) == (
             "", "true", "constant within the standardization scope")
 
+    # Two groups of 2, or balanced two-valued groups, leave Levene's test no
+    # within-group spread, whichever center it takes.
+    @pytest.mark.parametrize("center", ["mean", "median"])
+    @pytest.mark.parametrize("sizes", [(2, 2), (4, 6)])
+    def test_tied_groups_are_degenerate(self, tmp_path, capsys, sizes, center):
+        ids, values = tied_groups(sizes[0] * 10 + sizes[1], sizes, p=20)
+        path = write_table_csv(tmp_path / "tied.csv", ids,
+                               [f"v{j}" for j in range(values.shape[1])], values)
+        out = tmp_path / "out"
+        assert main(["compare", "--input", path, "--out-dir", str(out),
+                     "--group1", ",".join(ids[:sizes[0]]),
+                     "--group2", ",".join(ids[sizes[0]:]),
+                     "--levene-center", center]) == 0
+        assert capsys.readouterr().err == ""
+        parsed = json.loads((out / "comparison.json").read_text())
+        assert [v["note"] for v in parsed["variables"]] == [
+            "Levene statistic undefined: no within-group spread in the deviations"] * 20
+
     @pytest.mark.parametrize("command, n, k, error", [
         ("analyze", 3, 2, "no k fits 3 cases (need 2 <= k <= floor(n/2) = 1)"),
         ("analyze", 4, 3, "need 2 <= k <= floor(n/2) = 2 (n = 4)"),
@@ -425,13 +443,36 @@ class TestSubcommands:
         assert main(["compare", "--input", table_csv]) == 2
         assert "group1" in capsys.readouterr().err
 
+    # argparse's own errors are one line each, with no usage block.
     def test_unknown_subcommand_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2
-        assert "usage" in capsys.readouterr().err
+        # Some Python versions quote argparse's choices, others do not.
+        assert capsys.readouterr().err in {
+            f"error: argument command: invalid choice: 'frobnicate' (choose from {names})\n"
+            for names in (", ".join(map(repr, COMMANDS)), ", ".join(COMMANDS))}
 
     def test_unknown_flag_exits_2(self, table_csv, capsys):
         assert main(["analyze", "--input", table_csv, "--frob"]) == 2
-        assert "usage" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: unrecognized arguments: --frob\n"
+
+    @pytest.mark.parametrize("argv, line", [
+        ([], "the following arguments are required: command"),
+        (["analyze", "--input", "x.csv", "--k"], "argument --k: expected one argument"),
+    ])
+    def test_a_missing_subcommand_or_value_is_one_line(self, capsys, argv, line):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {line}\n")
+
+    def test_help_exits_0_and_lists_each_choice(self, capsys):
+        assert main(["--help"]) == 0
+        assert "{analyze,factors,rank,compare}" in capsys.readouterr().out
+        assert main(["analyze", "--help"]) == 0
+        out = capsys.readouterr().out
+        for line in ("--missing-policy {error,listwise}", "--retention {kaiser,fixed}",
+                     "--rotation {varimax,none}", "--direction {ascending,descending}",
+                     "--standardize-scope {selected,all}",
+                     "--levene-center {mean,median}", "--format {json,csv,text}"):
+            assert f"\n  {line}" in out, (line, out)
 
     @pytest.mark.parametrize("argv", [
         ["compare", "--retention", "fixed"],
@@ -1442,6 +1483,51 @@ class TestConfigValidation:
             with pytest.raises(ValidationError) as from_config:
                 config_from_dict({"input": "x.csv", section: {leaf: value}})
             assert str(from_config.value) == f"{key} must be {expected}, got {value!r}"
+
+    # A flag's text meets its key's check: the same bad value gets the same
+    # one line from a flag as from a config document.
+    @pytest.mark.parametrize("flag, text, key, value, expected", [
+        ("--k", "x", "ranking.k", "x", "an integer >= 1"),
+        ("--k", "2.5", "ranking.k", 2.5, "an integer >= 1"),
+        ("--retention-k", "-2", "retention.k", -2, "an integer >= 1"),
+        ("--rotation-tol", "x", "rotation.tol", "x", "a finite number in (0, inf)"),
+        ("--rotation-tol", "nan", "rotation.tol", math.nan,
+         "a finite number in (0, inf)"),
+        ("--alpha", "x", "comparison.alpha", "x", "a finite number in (0, 1)"),
+        ("--alpha", "1", "comparison.alpha", 1, "a finite number in (0, 1)"),
+        ("--ci-level", "x", "comparison.ci_level", "x",
+         "a number in (0, 1) with (1 + level) / 2 below 1"),
+        ("--missing-policy", "x", "missing_policy", "x", "one of 'error', 'listwise'"),
+        ("--format", "y", "output.formats", ["y"], "one of 'json', 'csv', 'text'"),
+    ])
+    def test_a_bad_flag_reads_as_its_config_key(self, table_csv, tmp_path, capsys,
+                                                 flag, text, key, value, expected):
+        out = tmp_path / "out"
+        argv = ["analyze", "--out-dir", str(out)]
+        assert main(argv + ["--input", table_csv, flag, text]) == 2
+        from_flag = capsys.readouterr()
+        section, _, leaf = key.rpartition(".")
+        document = {"input": table_csv}
+        (document.setdefault(section, {}) if section else document)[leaf] = value
+        (tmp_path / "run.json").write_text(json.dumps(document))
+        assert main(argv + ["--config", str(tmp_path / "run.json")]) == 2
+        name = key + " entries" if isinstance(value, list) else key
+        shown = value[0] if isinstance(value, list) else value
+        assert from_flag == capsys.readouterr() == (
+            "", f"error: {name} must be {expected}, got {shown!r}\n")
+        assert not out.exists()
+
+    def test_an_integral_real_flag_is_echoed_as_the_document_echoes_it(
+            self, table_csv, tmp_path):
+        summary = tmp_path / "out" / "run_summary.json"
+        argv = ["factors", "--out-dir", str(tmp_path / "out")]
+        assert main(argv + ["--input", table_csv, "--rotation-tol", "1"]) == 0
+        from_flag = summary.read_bytes()
+        (tmp_path / "run.json").write_text(json.dumps(
+            {"input": table_csv, "rotation": {"tol": 1}}))
+        assert main(argv + ["--config", str(tmp_path / "run.json")]) == 0
+        assert summary.read_bytes() == from_flag
+        assert b'"tol": 1\n' in from_flag
 
     def test_module_docstring_shows_the_defaults(self):
         doc = config_module.__doc__

@@ -3,7 +3,9 @@
 Each case is a small generated CSV, valid or broken by a few mutations,
 run through one subcommand with generated (sometimes bad) flags. The
 contract: ``cli.main`` returns 0, 2 or 3, raises nothing, and leaves no
-output directory behind after a non-zero exit. Some cases find an earlier
+output directory behind after a non-zero exit. A run that fails prints any
+notices, then one ``error:`` or ``numerical failure in`` line, whether the
+bad value came from a flag or from the CSV. Some cases find an earlier
 run's output directory with a directory where one artifact would go: a
 run that fails then leaves that directory exactly as it was, and one that
 reaches the write step fails there with one line naming the path, after
@@ -12,6 +14,8 @@ the rows a plain ``csv`` read finds incomplete. Cases that the program
 once accepted (a blank case id, ``retention.k`` < 1 under the Kaiser rule,
 an id repeated within a compare group) must exit 2 for that reason, and
 a numerical failure must name its cause rather than a bare eigenvalue.
+Every case that succeeds is replayed with all three output formats, whose
+artifacts must agree number for number and name for name.
 
 The generator is deterministic in its seed and needs no hypothesis
 database; :func:`fuzz_case` can also be called on its own to replay the
@@ -20,6 +24,7 @@ corpus against another build.
 
 import csv
 import io
+import json
 import math
 import os
 import random
@@ -269,6 +274,12 @@ def test_exit_code_contract_under_fuzzing(tmp_path, capsys):
         if rc == 0:
             assert err == _listwise_notice(argv[argv.index("--input") + 1]), (argv, err)
             noticed += bool(err)
+        else:
+            # Any notices, then one error line.
+            *notices, last, end = err.split("\n")
+            assert last.startswith(("error: ", "numerical failure in ")) and not end, (
+                argv, err)
+            assert all(line.startswith("warning: ") for line in notices), (argv, err)
         if blocked is None:
             assert os.path.isdir(out) == (rc == 0), (argv, rc, err)
         elif rc == 0:
@@ -279,10 +290,8 @@ def test_exit_code_contract_under_fuzzing(tmp_path, capsys):
             assert _snapshot(out) == before, (argv, rc, err)
             if "Is a directory" in err:
                 stopped_at_block += 1
-                *notices, last, end = err.split("\n")
                 assert last == ("error: [Errno 21] Is a directory: "
-                                f"{os.path.join(out, blocked)!r}") and not end, (argv, err)
-                assert all(line.startswith("warning: ") for line in notices), (argv, err)
+                                f"{os.path.join(out, blocked)!r}"), (argv, err)
         if expected is not None:
             assert rc == 2 and expected in err, (argv, rc, err)
         if rc == 3:
@@ -321,3 +330,124 @@ def test_a_split_parse_changes_no_outcome(tmp_path, capsys, monkeypatch):
     for argv, expected in zip(cases, serial):
         assert run(argv) == expected, argv
     assert len(started) >= len(cases) // 2, len(started)
+
+
+ALL_FORMATS = ["--format", "json", "--format", "csv", "--format", "text"]
+
+
+def _all_formats(argv):
+    """``argv`` with its ``--format`` flags replaced by all three formats."""
+    given = {i + j for i, arg in enumerate(argv) if arg == "--format" for j in (0, 1)}
+    return [arg for i, arg in enumerate(argv) if i not in given] + ALL_FORMATS
+
+
+def _same(cell, value):
+    """A CSV cell and a JSON number are one float, bit for bit; JSON writes a
+    non-finite float as null."""
+    x = float(cell)
+    return not math.isfinite(x) if value is None else x.hex() == float(value).hex()
+
+
+def _csv_rows(out, name):
+    """The rows of CSV artifact ``name``, each checked to be as wide as the header."""
+    with open(os.path.join(out, name), encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert all(len(row) == len(rows[0]) for row in rows), (name, rows)
+    return rows
+
+
+def _table_rows(out, name, title):
+    """The rows of the text table under the line ``title`` in artifact ``name``,
+    after its header line, up to the next blank line."""
+    with open(os.path.join(out, name), encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    start = lines.index(title) + 2
+    return lines[start:lines.index("", start)]
+
+
+def _named_in_order(rows, names):
+    return len(rows) == len(names) and all(
+        row.startswith(name + " ") for row, name in zip(rows, names))
+
+
+def _check_model(out, model):
+    names = model["indicator_names"]
+    for name, matrix in (("factor_model.csv", model["loadings_rotated"]),
+                         ("factor_model_coefficients.csv", model["score_coefficients"]),
+                         ("factor_model_communalities.csv",
+                          [[h2] for h2 in model["communalities"]])):
+        header, *rows = _csv_rows(out, name)
+        assert [row[0] for row in rows] == names, name
+        assert all(_same(cell, value) for row, values in zip(rows, matrix)
+                   for cell, value in zip(row[1:], values, strict=True)), name
+    header, *rows = _csv_rows(out, "factor_model_eigenvalues.csv")
+    assert [row[0] for row in rows] == [str(i) for i in range(1, len(names) + 1)]
+    assert all(_same(row[1], value) for row, value in zip(rows, model["eigenvalues"]))
+    title = "Rotated loadings" if model["rotation_method"] != "none" else "Loadings"
+    assert _named_in_order(_table_rows(out, "factor_model.txt",
+                                       f"{title} (communality in last column)"), names)
+
+
+def _check_ranking(out, ranking):
+    entries = ranking["entries"]
+    header, *rows = _csv_rows(out, "ranking.csv")
+    assert [row[:2] for row in rows] == [[str(e["rank"]), e["case_id"]] for e in entries]
+    assert all(_same(row[2], e["score"]) for row, e in zip(rows, entries))
+    assert _table_rows(out, "ranking.txt", "Rank | Communities") == [
+        f"{e['rank']:>4} | {e['case_id']}" for e in entries]
+
+
+TEST_FIELDS = ("t", "df", "p_two_tailed", "mean_difference", "se_difference",
+               "ci_low", "ci_high")
+
+
+def _check_comparison(out, comparison):
+    records = comparison["variables"]
+    header, *rows = _csv_rows(out, "comparison.csv")
+    expected = [(rec, rec[variant] if variant else None) for rec in records
+                for variant in ((None,) if rec["degenerate"] else ("pooled", "welch"))]
+    assert len(rows) == len(expected)
+    for row, (rec, test) in zip(rows, expected):
+        cells = dict(zip(header, row))
+        assert cells["variable"] == rec["name"] and cells["variant"] == (
+            test["variant"] if test else ""), (row, rec)
+        assert cells["degenerate"] == ("true" if rec["degenerate"] else "false")
+        numbers = [(f"group{g}_{key}", rec[f"group{g}"][key])
+                   for g in (1, 2) for key in ("mean", "sd", "sem")]
+        assert [cells[f"group{g}_n"] for g in (1, 2)] == [
+            str(rec["group1"]["n"]), str(rec["group2"]["n"])]
+        if test is not None:
+            numbers += [("levene_F", rec["levene"]["F"]), ("levene_p", rec["levene"]["p"])]
+            numbers += [(key, test[key]) for key in TEST_FIELDS]
+        assert all(_same(cells[key], value) for key, value in numbers), (row, rec)
+    names = [rec["name"] for rec in records]
+    assert _named_in_order(_table_rows(out, "comparison.txt",
+                                       "Group statistics (raw units)"),
+                           [name for name in names for _ in (1, 2)])
+    assert _named_in_order(_table_rows(
+        out, "comparison.txt", "Levene's test and t-tests (standardized values)"),
+        [rec["name"] for rec, _ in expected])
+
+
+CHECKS = (("factor_model.json", _check_model), ("ranking.json", _check_ranking),
+          ("comparison.json", _check_comparison))
+
+
+def test_the_formats_agree_on_every_exit_0_case(tmp_path, capsys):
+    """Every CSV row is as wide as its header, every CSV number is its JSON
+    field bit for bit, and every text table names its rows in JSON order."""
+    rng = random.Random(SEED)
+    checked = {name: 0 for name, _ in CHECKS}
+    for index in range(N_CASES):
+        argv, _ = fuzz_case(rng, str(tmp_path), index)
+        rc = main(_all_formats(argv))
+        capsys.readouterr()
+        if rc != 0:
+            continue
+        out = argv[argv.index("--out-dir") + 1]
+        for name, check in CHECKS:
+            if os.path.exists(os.path.join(out, name)):
+                with open(os.path.join(out, name), encoding="utf-8") as fh:
+                    check(out, json.load(fh))
+                checked[name] += 1
+    assert min(checked.values()) >= 10, checked

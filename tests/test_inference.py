@@ -10,7 +10,7 @@ from factorindex.inference import (compare_groups, group_descriptives,
                                    levene_test, t_tests)
 from factorindex.numkernel import t_quantile, t_two_tailed_p
 
-from conftest import dataset_from
+from conftest import dataset_from, tied_groups
 from reference_tables import GROUP_STATS
 
 
@@ -420,6 +420,26 @@ class TestCompareGroups:
                 standardize(ds)
         else:
             standardize(ds)
+
+    # Deviations equal in exact arithmetic differ only by the rounding of
+    # their center: Levene's test finds no within-group spread in them.
+    @pytest.mark.parametrize("center", ["mean", "median"])
+    @pytest.mark.parametrize("sizes", [(2, 2), (4, 4), (6, 6), (2, 6)])
+    def test_tied_deviations_are_degenerate(self, sizes, center):
+        ids, values = tied_groups(sizes[0] * 10 + sizes[1], sizes)
+        ds = dataset_from(ids, [f"v{j}" for j in range(values.shape[1])], values)
+        report = compare_groups(ds, ids[:sizes[0]], ids[sizes[0]:],
+                                levene_center=center)
+        assert all(record.note == "Levene statistic undefined: no within-group "
+                   "spread in the deviations" for record in report.variables)
+
+    # Groups of 2 and 3 with their own spread keep their Levene result.
+    @pytest.mark.parametrize("center", ["mean", "median"])
+    def test_untied_small_groups_keep_levene(self, center):
+        ds = two_group_dataset(np.random.RandomState(89), n=5, p=200)
+        report = compare_groups(ds, ds.case_ids[:2], ds.case_ids[2:],
+                                levene_center=center)
+        assert not any(record.degenerate for record in report.variables)
 
     def test_variable_order_preserved(self):
         rng = np.random.RandomState(71)
